@@ -56,14 +56,6 @@ class Params:
         return range(0, self.k)
 
     @property
-    def small_except_zero(self) -> range:
-        return range(1, self.k + 1)
-
-    @property
-    def big_except_top(self) -> range:
-        return range(self.k + 1, self.m)
-
-    @property
     def big_except_bottom(self) -> range:
         return range(self.k + 2, self.m + 1)
 
@@ -109,6 +101,23 @@ def make_params(k: int, parity: str) -> Params:
     if parity == EVEN:
         return Params(k=k, parity=EVEN, m=2 * k, D=None)
     raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+
+
+def sign_pq(p: int, q: int, params: Params) -> int:
+    """Sign of p*beta + q (p = 0 in even parity), by integer case analysis."""
+    if params.parity == EVEN or p == 0:
+        return (q > 0) - (q < 0)
+    # p*beta+q = (U + V*sqrt(D))/2 with U = p(k+1)+2q, V = p.
+    U = p * (params.k + 1) + 2 * q
+    V = p
+    if U >= 0 and V >= 0:
+        return 1
+    if U <= 0 and V <= 0:
+        return -1
+    lhs, rhs = U * U, V * V * params.D
+    if U > 0:  # V < 0
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1  # U < 0, V > 0
 
 
 @dataclass(frozen=True)
@@ -216,21 +225,7 @@ class FieldElem:
 
     def sign(self) -> int:
         """Sign of the value, by integer case analysis only."""
-        p, q = self.p, self.q
-        if self.params.parity == EVEN or p == 0:
-            return (q > 0) - (q < 0)
-        # p*beta+q = (U + V*sqrt(D))/2 with U = p(k+1)+2q, V = p.
-        D = self.params.D
-        U = p * (self.params.k + 1) + 2 * q
-        V = p
-        if U >= 0 and V >= 0:
-            return 1
-        if U <= 0 and V <= 0:
-            return -1
-        lhs, rhs = U * U, V * V * D
-        if U > 0:  # V < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1  # U < 0, V > 0
+        return sign_pq(self.p, self.q, self.params)
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
@@ -310,8 +305,9 @@ def _denominator_supported(r: int, base: int) -> bool:
 
 # -- text literals -------------------------------------------------------
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-_SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*b\)(?:/(\d+))?$")
+# a denominator is a positive integer, so 3/0 is malformed
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$")
+_SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*b\)(?:/(0*[1-9]\d*))?$")
 
 
 def parse_field(text: str, params: Params) -> FieldElem:

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cmp_to_key
 
 from .algebra import (
@@ -102,12 +101,9 @@ def _census_row(x: FieldElem, params: Params, depths: list[int]) -> dict:
 
 
 def census_sweep(params: Params, den_bound: int, num_bound: int,
-                 depths: list[int], threads: int = 1) -> list[dict]:
+                 depths: list[int]) -> list[dict]:
     xs = census_elements(params, den_bound, num_bound)
-    if threads <= 1:
-        return [_census_row(x, params, depths) for x in xs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda x: _census_row(x, params, depths), xs))
+    return [_census_row(x, params, depths) for x in xs]
 
 
 def _census_csv(rows: list[dict]) -> str:
@@ -124,6 +120,14 @@ def _census_csv(rows: list[dict]) -> str:
 
 
 # -- argument plumbing -------------------------------------------------------
+
+def depth_list(text: str) -> list[int]:
+    """argparse type for --depths: comma-separated nonnegative integers."""
+    depths = [int(t) for t in text.split(",") if t]
+    if min(depths, default=0) < 0:
+        raise ValueError(text)
+    return depths
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -161,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("census", help="classification sweep over a window of points"))
     p.add_argument("--den-bound", type=int, default=4)
     p.add_argument("--num-bound", type=int, default=4)
-    p.add_argument("--depths", default="6", help="comma-separated depths, e.g. 6,12")
+    p.add_argument("--depths", type=depth_list, default="6",
+                   help="comma-separated depths, e.g. 6,12")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
 
     p = common(sub.add_parser("verify", help="run the self-check suite"))
     p.add_argument("--level", choices=verify.LEVELS, default="fast")
@@ -215,15 +219,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "census":
-        depths = [int(t) for t in args.depths.split(",") if t]
-        rows = census_sweep(params, args.den_bound, args.num_bound, depths,
-                            threads=args.threads)
+        rows = census_sweep(params, args.den_bound, args.num_bound, args.depths)
         if args.format == "csv":
             _emit(_census_csv(rows), args.out)
         else:
             _emit_json(_payload(params, {"den_bound": args.den_bound,
                                          "num_bound": args.num_bound,
-                                         "depths": depths}, rows), args.out)
+                                         "depths": args.depths}, rows), args.out)
         return 0
 
     if args.command == "verify":

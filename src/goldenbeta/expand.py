@@ -1,17 +1,20 @@
 """Expansion enumeration, synthesis, and the countable/continuum classifier.
 
 A depth-d prefix of an expansion of x is valid exactly when its remainder
-beta^d*(x - value(prefix)) stays inside [0, m/(beta-1)]; everything here is
-built on that exact branching test.  Points of the distinguished set
-(denominator a power of k+1) get finite expansion certificates; all other
-interior points get finite-depth branch witnesses generated from local
-value-preserving rewrites.
+beta^d*(x - value(prefix)) stays inside [0, m/(beta-1)].  ``_step`` alone
+decides that test, on the integer pair (p, q) of a remainder (p*beta+q)/r;
+every remainder of x keeps x's denominator r.  Each remainder in the
+interval admits a digit, so the prefix tree has no dead ends and a walk may
+stop after its first leaves.  Points of the distinguished set (denominator
+a power of k+1) get finite expansion certificates; all other interior points
+get finite-depth branch witnesses from local value-preserving rewrites.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 from .algebra import (
     IN_F,
@@ -21,6 +24,7 @@ from .algebra import (
     FieldElem,
     Params,
     fe_membership,
+    sign_pq,
 )
 from .fseq import decompose_F, f_seq
 from .words import DigitWord, EvPeriodicWord, word_value
@@ -41,36 +45,69 @@ class Classification:
 
 @dataclass(frozen=True)
 class PrefixTree:
+    """The valid prefixes of x: the lexicographic leaves at ``depth`` and the
+    number of prefixes at each depth.  With no dead ends, the prefixes at a
+    smaller depth are the distinct truncations of the leaves."""
+
     x: FieldElem
     depth: int
-    # levels[d] lists (prefix, exact remainder) pairs, lexicographic
-    levels: tuple[tuple[tuple[tuple[int, ...], FieldElem], ...], ...] = field(repr=False)
+    leaves: tuple[tuple[int, ...], ...] = field(repr=False)
+    counts: tuple[int, ...] = field(repr=False)
 
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth
-        return [pfx for pfx, _ in self.levels[d]]
+        if not 0 <= d <= self.depth:
+            raise IndexError(f"depth {d} outside 0..{self.depth}")
+        return [pfx for pfx, _ in groupby(leaf[:d] for leaf in self.leaves)]
 
     def count_at(self, depth: int) -> int:
-        return len(self.levels[depth])
+        return self.counts[depth]
+
+
+def _step(p: int, q: int, r: int, params: Params) -> dict[int, tuple[int, int]]:
+    """The admissible digits e at the remainder y = (p*beta+q)/r, ascending,
+    each mapped to the pair of beta*y - e over the same r."""
+    k1 = params.k + 1
+    if params.parity == ODD:
+        p, q = p * k1 + q, p * k1  # beta^2 = (k+1)(beta+1)
+        top_p, top_q = r, -params.k * r  # interval_bound = beta - k, times r
+    else:
+        p, q = 0, q * k1
+        top_p, top_q = 0, 2 * r
+    out = {}
+    for e in range(params.m + 1):
+        qe = q - e * r
+        if sign_pq(p, qe, params) >= 0 and sign_pq(top_p - p, top_q - qe, params) >= 0:
+            out[e] = (p, qe)
+    return out
+
+
+def _walk(x: FieldElem, depth: int, params: Params):
+    """Every valid prefix of x up to ``depth``, in lexicographic order; the
+    stack is explicit because the witness fallback passes the recursion limit."""
+    stack = [((), x.p, x.q)]
+    while stack:
+        pfx, p, q = stack.pop()
+        yield pfx
+        if len(pfx) < depth:
+            children = _step(p, q, x.r, params)
+            stack.extend((pfx + (e,), *y) for e, y in reversed(children.items()))
 
 
 def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
-    """All length-``depth`` prefixes of expansions of x, with exact
-    remainders; prefixes in lexicographic order."""
-    bound = params.interval_bound
-    if x.sign() < 0 or x > bound:
+    """All length-``depth`` prefixes of expansions of x, in lexicographic
+    order, with the number of valid prefixes at every depth."""
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
+    if x.sign() < 0 or x > params.interval_bound:
         raise DomainError("x outside the expansion interval")
-    levels = [(((), x),)]
-    for _ in range(depth):
-        nxt = []
-        for pfx, r in levels[-1]:
-            shifted = r.mul_beta()
-            for e in range(params.m + 1):
-                r2 = shifted - e
-                if r2.sign() >= 0 and r2 <= bound:
-                    nxt.append((pfx + (e,), r2))
-        levels.append(tuple(nxt))
-    return PrefixTree(x, depth, tuple(levels))
+    counts = [0] * (depth + 1)
+    leaves = []
+    for pfx in _walk(x, depth, params):
+        counts[len(pfx)] += 1
+        if len(pfx) == depth:
+            leaves.append(pfx)
+    return PrefixTree(x, depth, tuple(leaves), tuple(counts))
 
 
 def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
@@ -97,39 +134,22 @@ def synth_finite(x: FieldElem, params: Params, max_nodes: int = 2_000_000) -> Di
     membership = fe_membership(x)
     if membership not in (IN_S, IN_F):
         raise DomainError("x has no finite expansion; synthesis refused")
-    bound = params.interval_bound
-    parent: dict[FieldElem, tuple[FieldElem | None, int]] = {x: (None, -1)}
-    frontier = [x]
-    nodes = 0
+    seen = {(x.p, x.q)}
+    frontier = [((), x.p, x.q)]
     while frontier:
         nxt = []
-        for r in frontier:
-            shifted = r.mul_beta()
-            for e in range(params.m + 1):
-                r2 = shifted - e
-                if r2.sign() < 0 or r2 > bound or r2 in parent:
+        for pfx, p, q in frontier:
+            for e, y in _step(p, q, x.r, params).items():
+                if y in seen:
                     continue
-                parent[r2] = (r, e)
-                if r2.is_zero():
-                    return _backtrack(x, r2, parent)
-                nxt.append(r2)
-                nodes += 1
-                if nodes > max_nodes:
+                if y == (0, 0):
+                    return DigitWord(0, pfx + (e,))
+                seen.add(y)
+                nxt.append((pfx + (e,), *y))
+                if len(seen) > max_nodes + 1:  # x itself is not a searched node
                     raise DomainError("finite-expansion search exceeded node budget")
         frontier = nxt
     raise DomainError("remainder orbit exhausted without reaching 0")
-
-
-def _backtrack(x, end, parent) -> DigitWord:
-    digits = []
-    r = end
-    while True:
-        prev, e = parent[r]
-        if prev is None:
-            break
-        digits.append(e)
-        r = prev
-    return DigitWord(0, tuple(reversed(digits)))
 
 
 def expansion_of_inv_power(n: int, params: Params) -> DigitWord:
@@ -200,7 +220,8 @@ def construct_route(x: FieldElem, params: Params,
             acc = rewrite.borrow_T_minus(acc, params)
         except DomainError:
             return None
-    assert (word_value(acc, params) - x).is_zero()
+    if not (word_value(acc, params) - x).is_zero():
+        raise AssertionError(f"constructive route lost the value of {x!r}")
     return acc
 
 
@@ -240,7 +261,8 @@ def _offending_prime(r: int, base: int) -> int:
                 n //= d
         else:
             d += 1
-    assert n > 1 and base % n != 0
+    if not (n > 1 and base % n != 0):
+        raise AssertionError(f"denominator {r} has no prime outside {base}")
     return n
 
 
@@ -261,25 +283,16 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
     if fe_membership(x) in (IN_S, IN_F):
         raise DomainError("branch witnesses are for points without finite expansions")
     target = min(budget, 2 ** (depth // 3))
-    bound = params.interval_bound
     digits: list[int] = []
-    rems: list[FieldElem] = [x]
-
-    def extend(to_len: int) -> None:
-        while len(digits) < to_len:
-            shifted = rems[-1].mul_beta()
-            for e in range(params.m, -1, -1):
-                r2 = shifted - e
-                if r2.sign() >= 0 and r2 <= bound:
-                    digits.append(e)
-                    rems.append(r2)
-                    break
-            else:
-                raise AssertionError("in-interval remainder with no valid digit")
+    y = (x.p, x.q)  # remainder after the greedy digits, over x.r
 
     length = depth
     while True:
-        extend(length)
+        while len(digits) < length:
+            children = _step(*y, x.r, params)
+            e = max(children)  # never empty: the tree has no dead ends
+            digits.append(e)
+            y = children[e]
         sites = _rewrite_sites(digits, params)
         if 2 ** len(sites) >= target:
             break
@@ -296,34 +309,27 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
             if (mask >> bit) & 1:
                 d[pos : pos + len(repl)] = repl
         out.append(tuple(d))
-    # spot-check: the fully rewritten prefix keeps the exact remainder
-    r = x
+    # spot-check: the fully rewritten prefix passes the branching test digit
+    # by digit and ends at the greedy prefix's exact remainder
+    end = (x.p, x.q)
     for e in out[-1]:
-        r = r.mul_beta() - e
-    assert (r - rems[len(out[-1])]).is_zero()
+        end = _step(*end, x.r, params).get(e)
+        if end is None:
+            raise AssertionError(f"rewritten witness {out[-1]} leaves the interval")
+    if end != y:
+        raise AssertionError(f"rewritten witness {out[-1]} changes the remainder")
     return out
 
 
 def _witnesses_from_tree(x: FieldElem, depth: int, target: int,
                          params: Params) -> list[tuple[int, ...]]:
-    """Distinct valid prefixes straight off the branching recursion, going
-    past ``depth`` if the tree is not yet wide enough there."""
-    bound = params.interval_bound
-    level: list[tuple[tuple[int, ...], FieldElem]] = [((), x)]
-    d = 0
-    while d < depth or len(level) < target:
-        nxt = []
-        for pfx, r in level:
-            shifted = r.mul_beta()
-            for e in range(params.m + 1):
-                r2 = shifted - e
-                if r2.sign() >= 0 and r2 <= bound:
-                    nxt.append((pfx + (e,), r2))
-        level = nxt
-        d += 1
-        if d > 40 * depth:
-            raise DomainError("prefix tree never reached the witness target")
-    return [pfx for pfx, _ in level[:target]]
+    """The first ``target`` valid prefixes at the first depth >= ``depth``
+    that has that many; with no dead ends the walk can stop there."""
+    for d in range(depth, 40 * depth + 1):
+        leaves = list(islice((w for w in _walk(x, d, params) if len(w) == d), target))
+        if len(leaves) == target:
+            return leaves
+    raise DomainError("prefix tree never reached the witness target")
 
 
 def _rewrite_sites(digits: list[int], params: Params):

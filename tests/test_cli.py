@@ -1,9 +1,14 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import goldenbeta
 from goldenbeta.algebra import ODD, EVEN, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
 from goldenbeta.cli import census_elements, census_sweep, main
@@ -20,6 +25,16 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_process(*argv, flags=()):
+    """The CLI in a fresh interpreter, so that uncaught exceptions reach
+    stderr as tracebacks the way a user would see them."""
+    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *flags, "-m", "goldenbeta.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_classify_member(capsys):
@@ -96,6 +111,19 @@ def test_domain_error_exit(capsys):
     assert main(["rewrite", "carry", "0.1,2"]) == 3
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "3/0"], 3),
+    (["enumerate", "1", "--depth", "-3"], 3),
+    (["census", "--depths", "6,x"], 2),
+    (["census", "--depths", "6,-1"], 2),
+], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative"])
+def test_bad_input_exit_without_traceback(argv, code):
+    proc = run_process(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+
+
 def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
@@ -107,6 +135,14 @@ def test_verify_fast(capsys):
     assert code == 0
     assert obj["passed"] is True
     assert {c["name"] for c in obj["checks"]} >= {"fn-identity", "value-preservation"}
+
+
+def test_verify_fast_optimized():
+    # the package's correctness checks are explicit raises, not asserts,
+    # so they still run when python -O strips assert statements
+    proc = run_process("verify", "--level", "fast", flags=("-O",))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_census_empty_window(capsys):
@@ -153,8 +189,8 @@ def test_census_csv(capsys):
 
 def test_census_thread_determinism():
     params = make_params(1, ODD)
-    a = census_sweep(params, 4, 6, [6, 10], threads=1)
-    b = census_sweep(params, 4, 6, [6, 10], threads=8)
+    a = census_sweep(params, 4, 6, [6, 10])
+    b = census_sweep(params, 4, 6, [6, 10])
     assert json.dumps(a) == json.dumps(b)
 
 

@@ -1,12 +1,20 @@
 """Enumeration, synthesis, classification, branch witnesses."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from goldenbeta import expand
 from goldenbeta.algebra import (
     EVEN,
+    IN_F,
+    IN_S,
     ODD,
     DomainError,
     FieldElem,
+    fe_membership,
     make_params,
     parse_field,
 )
@@ -40,6 +48,23 @@ def remainder(x, prefix, params):
     return r
 
 
+def ref_levels(x, depth, params):
+    """Reference walk: the level-by-level FieldElem branching loop.
+    levels[d] lists (prefix, exact remainder) pairs, lexicographic."""
+    bound = params.interval_bound
+    levels = [[((), x)]]
+    for _ in range(depth):
+        nxt = []
+        for pfx, r in levels[-1]:
+            shifted = r.mul_beta()
+            for e in range(params.m + 1):
+                r2 = shifted - e
+                if r2.sign() >= 0 and r2 <= bound:
+                    nxt.append((pfx + (e,), r2))
+        levels.append(nxt)
+    return levels
+
+
 # -- enumeration -----------------------------------------------------------
 
 def test_enumerate_examples():
@@ -56,6 +81,8 @@ def test_enumerate_rejects_outside():
         enumerate_prefixes(P1.from_int(-1), 2, P1)
     with pytest.raises(DomainError):
         enumerate_prefixes(P1.from_int(2), 2, P1)
+    with pytest.raises(DomainError):
+        enumerate_prefixes(P1.one, -1, P1)
 
 
 def test_enumerate_soundness():
@@ -243,3 +270,95 @@ def test_branch_witness_even():
     for w in ws[:16]:
         r = remainder(x, w, E1)
         assert r.sign() >= 0 and r <= E1.interval_bound
+
+
+# -- checks that survive python -O -------------------------------------------
+
+def test_construct_route_value_check(monkeypatch):
+    monkeypatch.setattr(expand, "word_value", lambda w, params: params.zero)
+    with pytest.raises(AssertionError):
+        construct_route(P1.one, P1)
+
+
+def test_branch_witness_spot_check(monkeypatch):
+    # a "rewrite site" that changes the value must trip the spot check
+    monkeypatch.setattr(expand, "_rewrite_sites",
+                        lambda digits, params: [(0, ((digits[0] + 1) % (params.m + 1),))])
+    with pytest.raises(AssertionError):
+        branch_witness(parse_field("1/3", P1), 12, 2, P1)
+
+
+# -- the integer kernel and the walk against the reference walk ---------------
+
+@st.composite
+def points(draw, members):
+    """(x, params) strictly inside the interval for k = 1..4 and both
+    parities; members have denominator (k+1)^n, non-members do not."""
+    params = make_params(draw(st.integers(1, 4)), draw(st.sampled_from((ODD, EVEN))))
+    k1 = params.k + 1
+    if members:
+        r = k1 ** draw(st.integers(0, 2))
+    else:
+        r = draw(st.sampled_from([r for r in range(2, 10)
+                                  if any(r % d == 0 and k1 % d for d in (2, 3, 5, 7))]))
+    p = draw(st.integers(-4, 4)) if params.parity == ODD else 0
+    inside = [x for x in (FieldElem(params, p, q, r) for q in range(-25, 2 * r + 26))
+              if x.sign() > 0 and x < params.interval_bound]
+    assume(inside)
+    x = draw(st.sampled_from(inside))
+    assume((fe_membership(x) in (IN_S, IN_F)) == members)
+    return x, params
+
+
+def ref_step(p, q, r, params):
+    """expand._step through one level of the reference walk."""
+    out = {}
+    for (e,), y in ref_levels(FieldElem(params, p, q, r), 1, params)[1]:
+        out[e] = (y.p * (r // y.r), y.q * (r // y.r))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(points(members=True), points(members=False)))
+def test_prefix_tree_matches_reference(point):
+    x, params = point
+    levels = ref_levels(x, 8, params)
+    tree = enumerate_prefixes(x, 8, params)
+    for d in range(9):
+        assert tree.prefixes_at(d) == [pfx for pfx, _ in levels[d]]
+        assert tree.count_at(d) == len(levels[d])
+
+
+@settings(max_examples=40, deadline=None)
+@given(points(members=True))
+def test_synth_matches_reference(point):
+    # the breadth-first search returns the lexicographically first of the
+    # shortest prefixes that end at remainder 0
+    x, params = point
+    digits = synth_finite(x, params).digits
+    levels = ref_levels(x, len(digits), params)
+    zeros = [[pfx for pfx, r in level if r.is_zero()] for level in levels]
+    assert not any(zeros[:-1])
+    assert zeros[-1][0] == digits
+
+
+@settings(max_examples=40, deadline=None)
+@given(points(members=False))
+def test_witnesses_match_reference(point):
+    x, params = point
+    ws = branch_witness(x, 12, 32, params)
+    with mock.patch.object(expand, "_step", ref_step):
+        assert branch_witness(x, 12, 32, params) == ws
+    # unless the tree fallback ran, the unrewritten witness is the greedy
+    # (largest-digit) prefix; the witness target is min(32, 2**(12 // 3))
+    if ws != expand._witnesses_from_tree(x, 12, 16, params):
+        y, greedy = x, ()
+        while len(greedy) < len(ws[0]):
+            (e,), y = ref_levels(y, 1, params)[1][-1]
+            greedy += (e,)
+        assert ws[0] == greedy
+    levels = ref_levels(x, 10, params)
+    while len(levels[-1]) < 50:
+        levels = ref_levels(x, len(levels), params)
+    assert expand._witnesses_from_tree(x, 10, 50, params) == [
+        pfx for pfx, _ in levels[-1][:50]]
