@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from .algebra import (
     EVEN,
@@ -129,6 +129,7 @@ def depth_list(text: str) -> list[int]:
     return depths
 
 
+@cache  # parse_args leaves the parser unchanged, so in-process callers share one
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="goldenbeta",

@@ -3,18 +3,24 @@
 A depth-d prefix of an expansion of x is valid exactly when its remainder
 beta^d*(x - value(prefix)) stays inside [0, m/(beta-1)].  ``_step`` alone
 decides that test, on the integer pair (p, q) of a remainder (p*beta+q)/r;
-every remainder of x keeps x's denominator r.  Each remainder in the
-interval admits a digit, so the prefix tree has no dead ends and a walk may
-stop after its first leaves.  Points of the distinguished set (denominator
-a power of k+1) get finite expansion certificates; all other interior points
-get finite-depth branch witnesses from local value-preserving rewrites.
+every remainder of x keeps x's denominator r.  The remainder and its Galois
+conjugate are both bounded, so x reaches finitely many pairs: its remainder
+graph, with edges labelled by digits.  ``_graph`` builds it lazily and
+memoises it, branching each pair once; the number of valid prefixes at a
+depth is the number of paths of that length out of x, a dynamic program over
+the graph.  Each remainder in the interval admits a digit, so the graph has
+no dead ends and a lexicographic walk may stop after its first prefixes.
+Points of the distinguished set (denominator a power of k+1) get finite
+expansion certificates; all other interior points get finite-depth branch
+witnesses from local value-preserving rewrites.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice
 
 from .algebra import (
     IN_F,
@@ -36,6 +42,9 @@ COUNTABLY_INFINITE = "CountablyInfinite"
 CONTINUUM = "Continuum"
 UNIQUE_ENDPOINT = "UniqueEndpoint"
 
+# The branching of one remainder pair: admissible digit -> next pair.
+Children = dict[int, tuple[int, int]]
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -43,28 +52,36 @@ class Classification:
     certificate: object  # word, (denominator, offending prime), or endpoint tag
 
 
+# Most prefixes ``prefixes_at`` lists in one call; counts have no limit.
+PREFIX_BUDGET = 2 ** 20
+
+
 @dataclass(frozen=True)
 class PrefixTree:
-    """The valid prefixes of x: the lexicographic leaves at ``depth`` and the
-    number of prefixes at each depth.  With no dead ends, the prefixes at a
-    smaller depth are the distinct truncations of the leaves."""
+    """The valid prefixes of x up to ``depth``.  ``counts[d]`` is the number
+    of paths of length d out of x in its finite remainder graph; the
+    prefixes themselves are walked off the memoised graph only when listed."""
 
     x: FieldElem
     depth: int
-    leaves: tuple[tuple[int, ...], ...] = field(repr=False)
     counts: tuple[int, ...] = field(repr=False)
+    step: Callable[[int, int], Children] = field(repr=False, compare=False)
 
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth
-        if not 0 <= d <= self.depth:
-            raise IndexError(f"depth {d} outside 0..{self.depth}")
-        return [pfx for pfx, _ in groupby(leaf[:d] for leaf in self.leaves)]
+        n = self.count_at(d)
+        if n > PREFIX_BUDGET:
+            raise DomainError(f"{n} prefixes at depth {d}, over the listing "
+                              f"budget of {PREFIX_BUDGET}")
+        return list(_walk(self.x, d, self.step))
 
     def count_at(self, depth: int) -> int:
+        if not 0 <= depth <= self.depth:
+            raise IndexError(f"depth {depth} outside 0..{self.depth}")
         return self.counts[depth]
 
 
-def _step(p: int, q: int, r: int, params: Params) -> dict[int, tuple[int, int]]:
+def _step(p: int, q: int, r: int, params: Params) -> Children:
     """The admissible digits e at the remainder y = (p*beta+q)/r, ascending,
     each mapped to the pair of beta*y - e over the same r."""
     k1 = params.k + 1
@@ -82,32 +99,52 @@ def _step(p: int, q: int, r: int, params: Params) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _walk(x: FieldElem, depth: int, params: Params):
-    """Every valid prefix of x up to ``depth``, in lexicographic order; the
-    stack is explicit because the witness fallback passes the recursion limit."""
+def _graph(x: FieldElem, params: Params) -> Callable[[int, int], Children]:
+    """The remainder graph of x, built as it is reached: ``step(p, q)`` is
+    ``_step`` over x's denominator, computed once per distinct pair."""
+    r = x.r
+    memo: dict[tuple[int, int], Children] = {}
+
+    def step(p: int, q: int) -> Children:
+        children = memo.get((p, q))
+        if children is None:
+            children = memo[p, q] = _step(p, q, r, params)
+        return children
+
+    return step
+
+
+def _walk(x: FieldElem, depth: int, step: Callable[[int, int], Children]):
+    """The valid prefixes of x of length ``depth``, in lexicographic order;
+    the stack is explicit because the witness fallback passes the recursion
+    limit."""
     stack = [((), x.p, x.q)]
     while stack:
         pfx, p, q = stack.pop()
-        yield pfx
-        if len(pfx) < depth:
-            children = _step(p, q, x.r, params)
-            stack.extend((pfx + (e,), *y) for e, y in reversed(children.items()))
+        if len(pfx) == depth:
+            yield pfx
+        else:
+            stack.extend((pfx + (e,), *y) for e, y in reversed(step(p, q).items()))
 
 
 def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
-    """All length-``depth`` prefixes of expansions of x, in lexicographic
-    order, with the number of valid prefixes at every depth."""
+    """The valid prefixes of x up to ``depth``: the number at every depth,
+    counted as paths over the remainder graph, and the graph to list them."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     if x.sign() < 0 or x > params.interval_bound:
         raise DomainError("x outside the expansion interval")
-    counts = [0] * (depth + 1)
-    leaves = []
-    for pfx in _walk(x, depth, params):
-        counts[len(pfx)] += 1
-        if len(pfx) == depth:
-            leaves.append(pfx)
-    return PrefixTree(x, depth, tuple(leaves), tuple(counts))
+    step = _graph(x, params)
+    layer = {(x.p, x.q): 1}  # paths of the current length, by end state
+    counts = [1]
+    for _ in range(depth):
+        nxt: dict[tuple[int, int], int] = {}
+        for y, n in layer.items():
+            for z in step(*y).values():
+                nxt[z] = nxt.get(z, 0) + n
+        layer = nxt
+        counts.append(sum(nxt.values()))
+    return PrefixTree(x, depth, tuple(counts), step)
 
 
 def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
@@ -117,6 +154,8 @@ def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
     """
     if params.parity != ODD:
         raise DomainError("the closed-form family exists for odd parity only")
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
     k = params.k
     block = (k + 1, k)
     words: list[EvPeriodicWord] = []
@@ -325,8 +364,9 @@ def _witnesses_from_tree(x: FieldElem, depth: int, target: int,
                          params: Params) -> list[tuple[int, ...]]:
     """The first ``target`` valid prefixes at the first depth >= ``depth``
     that has that many; with no dead ends the walk can stop there."""
+    step = _graph(x, params)
     for d in range(depth, 40 * depth + 1):
-        leaves = list(islice((w for w in _walk(x, d, params) if len(w) == d), target))
+        leaves = list(islice(_walk(x, d, step), target))
         if len(leaves) == target:
             return leaves
     raise DomainError("prefix tree never reached the witness target")

@@ -55,10 +55,12 @@ def decompose_F(k: int, n: int) -> FDecomposition:
     for i in range(len(seq) - 2, -1, -1):
         if seq[i] <= a:
             j = a // seq[i]
-            assert j <= k + 1, "greedy coefficient out of range"
+            if j > k + 1:
+                raise AssertionError(f"greedy coefficient {j} of F_{i + 1} out of range")
             coeffs[i] = j
             a -= j * seq[i]
-    assert a == 0
+    if a != 0:
+        raise AssertionError(f"greedy decomposition of {n} left {a}")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return FDecomposition(n, tuple(sign * c for c in coeffs))

@@ -245,7 +245,8 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     if not (word_value(w, params) < limit):
         raise DomainError("value too large: beta * x leaves the expansion interval")
     w = reduce_digits(w, params)
-    assert w.int_part == 0
+    if w.int_part != 0:
+        raise AssertionError(f"reduced word {w!r} has a nonzero integer part")
     d = list(w.digits)
     while d and d[-1] == 0:
         d.pop()
@@ -253,12 +254,14 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
         return DigitWord(0, ())
     if d[0] == 0:
         return DigitWord(0, tuple(d[1:]))
-    assert d[0] == 1, "reduced words below (beta-k)/beta start with 0 or 1"
+    if d[0] != 1:
+        raise AssertionError("reduced words below (beta-k)/beta start with 0 or 1")
     rest = d[1:]
     e2 = _at(rest, 0)
     if e2 <= k - 1:
         return borrow_T_minus(DigitWord(1, tuple(rest) or (0,)), params)
-    assert e2 == k, "a second digit k+1 would put the value on the boundary"
+    if e2 != k:
+        raise AssertionError("a second digit k+1 would put the value on the boundary")
     i, blocks = 1, 0
     while _at(rest, i) == k + 1 and _at(rest, i + 1) == k:
         blocks += 1
@@ -267,9 +270,11 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     if nxt <= k:
         tail = tuple(rest[i + 1 :])
         return DigitWord(0, (2 * k + 1,) * (2 * blocks + 1) + (nxt + k + 1,) + tail)
-    assert nxt == k + 1
+    if nxt != k + 1:
+        raise AssertionError(f"digit {nxt} after the (k+1)k blocks is out of range")
     b = _at(rest, i + 1)
-    assert b <= k - 1, "the tail of a below-1 expansion cannot reach (k+1)(k+1)"
+    if b > k - 1:
+        raise AssertionError("the tail of a below-1 expansion cannot reach (k+1)(k+1)")
     inner = borrow_T_minus(DigitWord(1, (b, *rest[i + 2 :])), params)
     return DigitWord(0, (2 * k + 1,) * (2 * blocks + 2) + inner.digits)
 
@@ -321,7 +326,8 @@ def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:
     out = []
     for j in range(1, len(eps) + 3):
         eta = i_part(_at(eps, j - 1)) + t_part(_at(eps, j - 2)) + t_part(_at(eps, j - 3))
-        assert eta % k1 == 0
+        if eta % k1 != 0:
+            raise AssertionError(f"digit {j} of {w!r} divided by k+1 is not an integer")
         out.append(eta // k1)
     return DigitWord(0, tuple(out))
 
@@ -369,6 +375,6 @@ def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
     else:
         raise DomainError(f"unknown rewrite rule {rule!r}")
     value = word_value(out, params)
-    if rule in VALUE_PRESERVING_RULES:
-        assert (word_value(inputs[0], params) - value).is_zero()
+    if rule in VALUE_PRESERVING_RULES and not (word_value(inputs[0], params) - value).is_zero():
+        raise AssertionError(f"rule {rule} changed the value of {inputs[0]!r}")
     return RewriteTrace(rule, tuple(inputs), out, tuple(steps), value)

@@ -116,12 +116,26 @@ def test_domain_error_exit(capsys):
     (["enumerate", "1", "--depth", "-3"], 3),
     (["census", "--depths", "6,x"], 2),
     (["census", "--depths", "6,-1"], 2),
-], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative"])
+    (["ones", "--depth", "-5"], 3),
+    (["enumerate", "1/3", "--depth", "60"], 3),
+], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
+        "ones-negative-depth", "enumerate-over-budget"])
 def test_bad_input_exit_without_traceback(argv, code):
     proc = run_process(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_parser_reuse_matches_fresh_process(capsys):
+    # one process reuses its parser across calls; each output must equal the
+    # same call in a fresh interpreter, byte for byte
+    calls = [["census"], ["census", "--depths", "6,12", "--format", "csv"],
+             ["enumerate", "1", "--depth", "2"], ["classify", "1"], ["census"]]
+    for argv in calls:
+        code, out = run(capsys, *argv)
+        proc = run_process(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
 
 
 def test_usage_error_exit():

@@ -83,6 +83,18 @@ def test_enumerate_rejects_outside():
         enumerate_prefixes(P1.from_int(2), 2, P1)
     with pytest.raises(DomainError):
         enumerate_prefixes(P1.one, -1, P1)
+    one = enumerate_prefixes(P1.one, 3, P1)
+    for d in (-1, 4):
+        with pytest.raises(IndexError):
+            one.count_at(d)
+        with pytest.raises(IndexError):
+            one.prefixes_at(d)
+    # counts past the listing budget stay available; listing them is refused
+    third = enumerate_prefixes(parse_field("1/3", P1), 60, P1)
+    assert third.count_at(60) > expand.PREFIX_BUDGET
+    with pytest.raises(DomainError):
+        third.prefixes_at()
+    assert len(third.prefixes_at(10)) == third.count_at(10)
 
 
 def test_enumerate_soundness():
@@ -126,6 +138,8 @@ def test_ones_match_tree():
 def test_ones_rejects_even():
     with pytest.raises(DomainError):
         expansions_of_one(6, E1)
+    with pytest.raises(DomainError):
+        expansions_of_one(-5, P1)
 
 
 # -- synthesis -------------------------------------------------------------
@@ -327,6 +341,19 @@ def test_prefix_tree_matches_reference(point):
     for d in range(9):
         assert tree.prefixes_at(d) == [pfx for pfx, _ in levels[d]]
         assert tree.count_at(d) == len(levels[d])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(points(members=True), points(members=False)))
+def test_path_counts_match_listing(point):
+    # the path counts over the remainder graph, past the depths ref_levels
+    # covers, and listings that do not depend on the depth the tree was built to
+    x, params = point
+    tree = enumerate_prefixes(x, 12, params)
+    for d in range(13):
+        listed = tree.prefixes_at(d)
+        assert tree.count_at(d) == len(listed)
+        assert listed == enumerate_prefixes(x, d, params).prefixes_at()
 
 
 @settings(max_examples=40, deadline=None)

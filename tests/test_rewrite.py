@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from goldenbeta import rewrite
 from goldenbeta.algebra import DomainError, ODD, make_params
 from goldenbeta.words import (
     DigitWord,
@@ -289,3 +290,11 @@ def test_apply_rule_unknown():
     with pytest.raises(DomainError):
         apply_rule("swap", P1, w1("0.1"))
     assert "carry" in RULES and "add" in RULES
+
+
+def test_apply_rule_value_check(monkeypatch):
+    # an evaluator that sees only the integer part makes carry look like it
+    # changed the value; the explicit re-check must still fire under -O
+    monkeypatch.setattr(rewrite, "word_value", lambda w, params: params.from_int(w.int_part))
+    with pytest.raises(AssertionError):
+        apply_rule("carry", P1, w1("0.3,2"))
