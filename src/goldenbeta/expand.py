@@ -12,7 +12,8 @@ the graph.  Each remainder in the interval admits a digit, so the graph has
 no dead ends and a lexicographic walk may stop after its first prefixes.
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
-witnesses from local value-preserving rewrites.
+witnesses, the first prefixes of the same walk at a depth with enough of them.
+No call accepts a depth over ``DEPTH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ class Classification:
     certificate: object  # word, (denominator, offending prime), or endpoint tag
 
 
-# Most prefixes ``prefixes_at`` lists in one call; counts have no limit.
+# Most prefixes ``prefixes_at`` lists in one call.
 PREFIX_BUDGET = 2 ** 20
+# Largest depth any call accepts: the per-depth counts of a continuum point
+# grow linearly in digits, so their memory grows with the square of the depth.
+DEPTH_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -115,23 +119,40 @@ def _graph(x: FieldElem, params: Params) -> Callable[[int, int], Children]:
 
 
 def _walk(x: FieldElem, depth: int, step: Callable[[int, int], Children]):
-    """The valid prefixes of x of length ``depth``, in lexicographic order;
-    the stack is explicit because the witness fallback passes the recursion
-    limit."""
-    stack = [((), x.p, x.q)]
+    """The valid prefixes of x of length ``depth``, in lexicographic order: a
+    depth-first walk with one digit path and a stack of child iterators, one
+    per node on the path (explicit, because witness depths pass the recursion
+    limit)."""
+    if depth == 0:
+        yield ()
+        return
+    path: list[int] = []
+    stack = [iter(step(x.p, x.q).items())]
     while stack:
-        pfx, p, q = stack.pop()
-        if len(pfx) == depth:
-            yield pfx
+        for e, y in stack[-1]:
+            if len(stack) == depth:
+                yield (*path, e)
+            else:
+                path.append(e)
+                stack.append(iter(step(*y).items()))
+                break
         else:
-            stack.extend((pfx + (e,), *y) for e, y in reversed(step(p, q).items()))
+            stack.pop()
+            if path:
+                path.pop()
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
+    if depth > DEPTH_BUDGET:
+        raise DomainError(f"depth {depth} over the depth budget of {DEPTH_BUDGET}")
 
 
 def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
     """The valid prefixes of x up to ``depth``: the number at every depth,
     counted as paths over the remainder graph, and the graph to list them."""
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    _check_depth(depth)
     if x.sign() < 0 or x > params.interval_bound:
         raise DomainError("x outside the expansion interval")
     step = _graph(x, params)
@@ -154,8 +175,7 @@ def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
     """
     if params.parity != ODD:
         raise DomainError("the closed-form family exists for odd parity only")
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    _check_depth(depth)
     k = params.k
     block = (k + 1, k)
     words: list[EvPeriodicWord] = []
@@ -170,9 +190,7 @@ def synth_finite(x: FieldElem, params: Params, max_nodes: int = 2_000_000) -> Di
     """Finite word evaluating exactly to x, by breadth-first search over
     exact remainders (deduplicated: the remainder orbit of any point with
     bounded denominator is finite, so the search always halts)."""
-    membership = fe_membership(x)
-    if membership not in (IN_S, IN_F):
-        raise DomainError("x has no finite expansion; synthesis refused")
+    _refuse_nonmember(x)
     seen = {(x.p, x.q)}
     frontier = [((), x.p, x.q)]
     while frontier:
@@ -264,13 +282,19 @@ def construct_route(x: FieldElem, params: Params,
     return acc
 
 
+def _refuse_nonmember(x: FieldElem) -> None:
+    if fe_membership(x) not in (IN_S, IN_F):
+        raise DomainError("x has no finite expansion; synthesis refused")
+
+
 def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
     """Like ``synth_finite`` but through the constructive F-sequence route,
-    falling back to the search when the construction needs a subtraction."""
+    falling back to the search when the construction gives up."""
+    _refuse_nonmember(x)
     w = construct_route(x, params)
     if w is not None:
         return w
-    log.warning("constructive route hit a negative term for %r; "
+    log.warning("constructive route gave up on %r; "
                 "falling back to search synthesis", x)
     return synth_finite(x, params)
 
@@ -308,96 +332,21 @@ def _offending_prime(r: int, base: int) -> int:
 def branch_witness(x: FieldElem, depth: int, budget: int,
                    params: Params) -> list[tuple[int, ...]]:
     """Pairwise-distinct extendable expansion prefixes of x, certifying
-    expansion multiplicity at finite depth.
-
-    Takes the greedy (largest-digit-first) prefix and toggles local
-    value-preserving rewrites at disjoint sites, one subset per bitmask;
-    every output has the same exact remainder as the base prefix.  The
-    greedy prefix keeps remainders small, so runs of small digits (and
-    with them rewrite sites) recur; it is extended past ``depth`` when it
-    does not yet carry enough sites, and for the rare digit streams with
-    no sites at all the generator falls back to collecting distinct
-    prefixes straight off the prefix tree.
-    """
+    expansion multiplicity at finite depth: the first min(budget,
+    2**(depth//3)) prefixes of the lexicographic walk over x's remainder
+    graph, at the first depth >= ``depth`` that has that many.  The graph
+    has no dead ends, so every listed prefix extends to an expansion."""
+    _check_depth(depth)
+    if budget < 0:
+        raise DomainError("budget must be nonnegative")
+    if x.sign() < 0 or x > params.interval_bound:
+        raise DomainError("x outside the expansion interval")
     if fe_membership(x) in (IN_S, IN_F):
         raise DomainError("branch witnesses are for points without finite expansions")
     target = min(budget, 2 ** (depth // 3))
-    digits: list[int] = []
-    y = (x.p, x.q)  # remainder after the greedy digits, over x.r
-
-    length = depth
-    while True:
-        while len(digits) < length:
-            children = _step(*y, x.r, params)
-            e = max(children)  # never empty: the tree has no dead ends
-            digits.append(e)
-            y = children[e]
-        sites = _rewrite_sites(digits, params)
-        if 2 ** len(sites) >= target:
-            break
-        if length > 8 * depth + 240:
-            return _witnesses_from_tree(x, depth, target, params)
-        length += max(depth // 2, 6)
-
-    nbits = max(target - 1, 0).bit_length()
-    chosen = sites[:max(nbits, 1)]
-    out = []
-    for mask in range(target):
-        d = list(digits)
-        for bit, (pos, repl) in enumerate(chosen):
-            if (mask >> bit) & 1:
-                d[pos : pos + len(repl)] = repl
-        out.append(tuple(d))
-    # spot-check: the fully rewritten prefix passes the branching test digit
-    # by digit and ends at the greedy prefix's exact remainder
-    end = (x.p, x.q)
-    for e in out[-1]:
-        end = _step(*end, x.r, params).get(e)
-        if end is None:
-            raise AssertionError(f"rewritten witness {out[-1]} leaves the interval")
-    if end != y:
-        raise AssertionError(f"rewritten witness {out[-1]} changes the remainder")
-    return out
-
-
-def _witnesses_from_tree(x: FieldElem, depth: int, target: int,
-                         params: Params) -> list[tuple[int, ...]]:
-    """The first ``target`` valid prefixes at the first depth >= ``depth``
-    that has that many; with no dead ends the walk can stop there."""
     step = _graph(x, params)
     for d in range(depth, 40 * depth + 1):
         leaves = list(islice(_walk(x, d, step), target))
         if len(leaves) == target:
             return leaves
     raise DomainError("prefix tree never reached the witness target")
-
-
-def _rewrite_sites(digits: list[int], params: Params):
-    """Disjoint positions where a local equal-value digit replacement
-    applies; each entry is (start index, replacement digits)."""
-    k = params.k
-    sites = []
-    i = 0
-    if params.parity == ODD:
-        while i + 2 < len(digits):
-            a, b, c = digits[i], digits[i + 1], digits[i + 2]
-            if params.in_big(b) and params.in_big(c) and a <= 2 * k:
-                sites.append((i, (a + 1, b - k - 1, c - k - 1)))
-                i += 3
-            elif params.in_small(b) and params.in_small(c) and a >= 1:
-                sites.append((i, (a - 1, b + k + 1, c + k + 1)))
-                i += 3
-            else:
-                i += 1
-    else:
-        while i + 1 < len(digits):
-            a, b = digits[i], digits[i + 1]
-            if a >= 1 and b <= params.m - (k + 1):
-                sites.append((i, (a - 1, b + k + 1)))
-                i += 2
-            elif a <= params.m - 1 and b >= k + 1:
-                sites.append((i, (a + 1, b - k - 1)))
-                i += 2
-            else:
-                i += 1
-    return sites

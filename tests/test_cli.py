@@ -118,13 +118,26 @@ def test_domain_error_exit(capsys):
     (["census", "--depths", "6,-1"], 2),
     (["ones", "--depth", "-5"], 3),
     (["enumerate", "1/3", "--depth", "60"], 3),
+    (["ones", "--depth", "1000000"], 3),
+    (["enumerate", "1/3", "--depth", "1000000"], 3),
+    (["census", "--depths", "6,1000000"], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
-        "ones-negative-depth", "enumerate-over-budget"])
+        "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
+        "enumerate-over-depth-budget", "census-over-depth-budget"])
 def test_bad_input_exit_without_traceback(argv, code):
     proc = run_process(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_synth_construct_refuses_nonmember_and_falls_back():
+    proc = run_process("synth", "1/3", "--route", "construct")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: x has no finite expansion; synthesis refused"]
+    proc = run_process("synth", "1/2", "--parity", "even", "--route", "construct")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == "0.1"
 
 
 def test_parser_reuse_matches_fresh_process(capsys):

@@ -245,7 +245,7 @@ def test_classify_certificate_roundtrip():
 # -- branch witnesses -------------------------------------------------------
 
 def test_local_rewrite_instance():
-    # fragment value identity behind the odd-parity sites: 0,3,2 == 1,1,0
+    # a local value-preserving rewrite in odd parity: 0,3,2 == 1,1,0
     a = val(DigitWord(0, (0, 3, 2)))
     b = val(DigitWord(0, (1, 1, 0)))
     assert (a - b).is_zero()
@@ -275,6 +275,13 @@ def test_branch_witness_alternating_point():
 def test_branch_witness_refuses_member():
     with pytest.raises(DomainError):
         branch_witness(parse_field("1/2", P1), 12, 8, P1)
+    x = parse_field("1/3", P1)
+    assert branch_witness(x, 24, 0, P1) == []
+    for depth, budget in ((-3, 8), (expand.DEPTH_BUDGET + 1, 8), (12, -1)):
+        with pytest.raises(DomainError):
+            branch_witness(x, depth, budget, P1)
+    with pytest.raises(DomainError):
+        branch_witness(parse_field("9/5", P1), 12, 8, P1)  # above m/(beta-1)
 
 
 def test_branch_witness_even():
@@ -292,14 +299,6 @@ def test_construct_route_value_check(monkeypatch):
     monkeypatch.setattr(expand, "word_value", lambda w, params: params.zero)
     with pytest.raises(AssertionError):
         construct_route(P1.one, P1)
-
-
-def test_branch_witness_spot_check(monkeypatch):
-    # a "rewrite site" that changes the value must trip the spot check
-    monkeypatch.setattr(expand, "_rewrite_sites",
-                        lambda digits, params: [(0, ((digits[0] + 1) % (params.m + 1),))])
-    with pytest.raises(AssertionError):
-        branch_witness(parse_field("1/3", P1), 12, 2, P1)
 
 
 # -- the integer kernel and the walk against the reference walk ---------------
@@ -372,20 +371,13 @@ def test_synth_matches_reference(point):
 @settings(max_examples=40, deadline=None)
 @given(points(members=False))
 def test_witnesses_match_reference(point):
+    # the witnesses are the first min(32, 2**(12 // 3)) prefixes of the
+    # reference walk at the first depth >= 12 that has that many
     x, params = point
     ws = branch_witness(x, 12, 32, params)
     with mock.patch.object(expand, "_step", ref_step):
         assert branch_witness(x, 12, 32, params) == ws
-    # unless the tree fallback ran, the unrewritten witness is the greedy
-    # (largest-digit) prefix; the witness target is min(32, 2**(12 // 3))
-    if ws != expand._witnesses_from_tree(x, 12, 16, params):
-        y, greedy = x, ()
-        while len(greedy) < len(ws[0]):
-            (e,), y = ref_levels(y, 1, params)[1][-1]
-            greedy += (e,)
-        assert ws[0] == greedy
-    levels = ref_levels(x, 10, params)
-    while len(levels[-1]) < 50:
+    levels = ref_levels(x, 12, params)
+    while len(levels[-1]) < 16:
         levels = ref_levels(x, len(levels), params)
-    assert expand._witnesses_from_tree(x, 10, 50, params) == [
-        pfx for pfx, _ in levels[-1][:50]]
+    assert ws == [pfx for pfx, _ in levels[-1][:16]]
