@@ -50,15 +50,6 @@ class Params:
     def big_digits(self) -> range:
         return range(self.k + 1, self.m + 1)
 
-    @property
-    def small_except_top(self) -> range:
-        """{0,...,k-1}: small digits without the largest one."""
-        return range(0, self.k)
-
-    @property
-    def big_except_bottom(self) -> range:
-        return range(self.k + 2, self.m + 1)
-
     def in_small(self, d: int) -> bool:
         return 0 <= d <= self.k
 

@@ -58,6 +58,10 @@ PREFIX_BUDGET = 2 ** 20
 # Largest depth any call accepts: the per-depth counts of a continuum point
 # grow linearly in digits, so their memory grows with the square of the depth.
 DEPTH_BUDGET = 4096
+# Most remainders ``synth_finite`` searches before giving up.
+NODE_BUDGET = 2_000_000
+# Most word additions ``construct_route`` makes before giving up.
+TERM_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ class PrefixTree:
         d = self.depth if depth is None else depth
         n = self.count_at(d)
         if n > PREFIX_BUDGET:
-            raise DomainError(f"{n} prefixes at depth {d}, over the listing "
-                              f"budget of {PREFIX_BUDGET}")
+            raise DomainError(f"more than {PREFIX_BUDGET} prefixes at depth {d}, "
+                              "over the listing budget")
         return list(_walk(self.x, d, self.step))
 
     def count_at(self, depth: int) -> int:
@@ -186,7 +190,7 @@ def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
     return words
 
 
-def synth_finite(x: FieldElem, params: Params, max_nodes: int = 2_000_000) -> DigitWord:
+def synth_finite(x: FieldElem, params: Params) -> DigitWord:
     """Finite word evaluating exactly to x, by breadth-first search over
     exact remainders (deduplicated: the remainder orbit of any point with
     bounded denominator is finite, so the search always halts)."""
@@ -203,7 +207,7 @@ def synth_finite(x: FieldElem, params: Params, max_nodes: int = 2_000_000) -> Di
                     return DigitWord(0, pfx + (e,))
                 seen.add(y)
                 nxt.append((pfx + (e,), *y))
-                if len(seen) > max_nodes + 1:  # x itself is not a searched node
+                if len(seen) > NODE_BUDGET + 1:  # x itself is not a searched node
                     raise DomainError("finite-expansion search exceeded node budget")
         frontier = nxt
     raise DomainError("remainder orbit exhausted without reaching 0")
@@ -220,15 +224,14 @@ def expansion_of_inv_power(n: int, params: Params) -> DigitWord:
     return w
 
 
-def construct_route(x: FieldElem, params: Params,
-                term_budget: int = 20_000) -> DigitWord | None:
+def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
     """Constructive synthesis through the F-sequence decomposition.
 
     Writes x = (p*beta+q)/(k+1)^n, decomposes p greedily over the F_i, and
     assembles the nonnegative terms n_i/(beta^i (k+1)^(n-i)) plus
     M/(k+1)^n by repeated word addition.  Returns None when the assembly
     would need a negative term (the subtraction step the construction
-    does not supply) or grows past ``term_budget`` additions.
+    does not supply) or grows past ``TERM_BUDGET`` additions.
     """
     if params.parity != ODD:
         return None
@@ -257,7 +260,7 @@ def construct_route(x: FieldElem, params: Params,
         e = n - i
         count = signed * (k1 ** max(-e, 0))
         terms.append((count, i, max(e, 0)))
-    if M + sum(c for c, _, _ in terms) > term_budget:
+    if M + sum(c for c, _, _ in terms) > TERM_BUDGET:
         return None
     acc = DigitWord(0, ())
     base = expansion_of_inv_power(n, params)

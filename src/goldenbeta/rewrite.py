@@ -2,9 +2,11 @@
 digit-range reduction, and closure under *beta, +, and /(k+1).
 
 Everything here trades on the single identity 1.00 = 0.(k+1)(k+1), i.e.
-beta^2 = (k+1)(beta+1).  The alternating patterns used by the carry and
-borrow maps are the ones forced by exact value preservation; every rule is
-cross-checked against the field-arithmetic evaluator in the test suite.
+beta^2 = (k+1)(beta+1).  Carry and borrow are one mirrored map, ``_trade``,
+read in the two directions of that identity; its alternating patterns are
+the ones forced by exact value preservation.  Carry and borrow also take
+eventually periodic words, every other rule finite words only.  Every rule
+is cross-checked against the field-arithmetic evaluator in the test suite.
 Odd-parity systems only: the calculus lives on the quadratic base.
 """
 
@@ -73,122 +75,72 @@ def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:
 
 # -- carry and borrow ----------------------------------------------------
 
+# Per direction: rule name, integer part taken, first-digit class, the
+# alternation ``ind`` looks for, and the first digits a shift by k+2 allows.
+_TRADES = {
+    +1: ("carry", 0, "big", PLUS, "{k+2..2k+1}"),
+    -1: ("borrow", 1, "small", MINUS, "{0..k-1}"),
+}
+
+
 def carry_T_plus(w: Word, params: Params) -> Word:
     """Trade a leading big digit for integer part 1, dispatching on the
     first break of the small/big alternation in the tail."""
-    _require_odd(params)
-    k = params.k
-    if w.int_part != 0:
-        raise DomainError("carry expects integer part 0")
-    b = _first_digit(w)
-    if not params.in_big(b):
-        raise DomainError(f"carry needs a big first digit, got {b}")
-    tail = word_tail(w, 2)
-    v = ind(PLUS, tail, params)
-    if v == IND_INF or int(v) >= 2:
-        # these branches lower the head by k+2, so b = k+1 is out of range
-        if b not in params.big_except_bottom:
-            raise DomainError(f"carry needs a first digit in {{k+2..2k+1}}, got {b}")
-    if v == IND_INF:
-        return _rebuild_alternating(w, b - (k + 2), +1, 1)
-    v = int(v)
-    if v == 1:
-        return _rebuild_finite(w, b - (k + 1), {1: -(k + 1)}, v, 1)
-    deltas: dict[int, int] = {}
-    if v % 2 == 1:  # v = 2i-1, i >= 2: alternate through 2i-3, drop at v
-        for pos in range(1, v - 1):
-            deltas[pos] = 1 if pos % 2 == 1 else -1
-        deltas[v] = -(k + 1)
-    else:  # v = 2i: alternate through 2i-2, raise at v
-        for pos in range(1, v - 1):
-            deltas[pos] = 1 if pos % 2 == 1 else -1
-        deltas[v] = k + 1
-    return _rebuild_finite(w, b - (k + 2), deltas, v, 1)
+    return _trade(w, params, +1)
 
 
 def borrow_T_minus(w: Word, params: Params) -> Word:
     """Trade integer part 1 for a leading big digit, dispatching on the
     first break of the big/small alternation in the tail."""
+    return _trade(w, params, -1)
+
+
+def _trade(w: Word, params: Params, s: int) -> Word:
+    """Carry (s = +1) or borrow (s = -1): one map read in two directions,
+    every digit shift of the borrow the negative of the carry's.
+
+    With v the first break of the alternation in the tail, the head moves
+    by -s(k+1) when v = 1 and by -s(k+2) otherwise; tail positions before
+    v-1 take +s, -s, ... in turn (forever when v is infinite), and
+    position v takes -s(k+1) when v is odd, +s(k+1) when it is even.
+    """
     _require_odd(params)
+    rule, int_part, digit_class, sign, first_range = _TRADES[s]
     k = params.k
-    if w.int_part != 1:
-        raise DomainError("borrow expects integer part 1")
-    a = _first_digit(w)
-    if not params.in_small(a):
-        raise DomainError(f"borrow needs a small first digit, got {a}")
+    if w.int_part != int_part:
+        raise DomainError(f"{rule} expects integer part {int_part}")
+    finite = isinstance(w, DigitWord)
+    b = _at(w.digits, 0) if finite else w.digit_at(1)
+    if not getattr(params, f"in_{digit_class}")(b):
+        raise DomainError(f"{rule} needs a {digit_class} first digit, got {b}")
     tail = word_tail(w, 2)
-    v = ind(MINUS, tail, params)
-    if v == IND_INF or int(v) >= 2:
-        # these branches raise the head by k+2, so a = k is out of range
-        if a not in params.small_except_top:
-            raise DomainError(f"borrow needs a first digit in {{0..k-1}}, got {a}")
+    v = ind(sign, tail, params)
+    head = b - s * (k + 1 if v == 1 else k + 2)
+    if not 0 <= head <= params.m:
+        raise DomainError(f"{rule} needs a first digit in {first_range}, got {b}")
+    pre, period = (tail, (0,)) if finite else tail
+    # an even length keeps the period aligned with the infinite alternation
+    n = len(pre) + len(pre) % 2 if v == IND_INF else max(v, len(pre))
+    digits = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
+              for i in range(n)]
+    shift = (n - len(pre)) % len(period)
+    period = period[shift:] + period[:shift]
     if v == IND_INF:
-        return _rebuild_alternating(w, a + (k + 2), -1, 0)
-    v = int(v)
-    if v == 1:
-        return _rebuild_finite(w, a + (k + 1), {1: k + 1}, v, 0)
-    deltas = {}
-    if v % 2 == 1:
-        for pos in range(1, v - 1):
-            deltas[pos] = -1 if pos % 2 == 1 else 1
-        deltas[v] = k + 1
+        digits = _alternate(digits, s)
+        # a period with an odd length would repeat a digit at both parities,
+        # so an alternation that never breaks has an even period
+        period = tuple(_alternate(period, s))
     else:
-        for pos in range(1, v - 1):
-            deltas[pos] = -1 if pos % 2 == 1 else 1
-        deltas[v] = -(k + 1)
-    return _rebuild_finite(w, a + (k + 2), deltas, v, 0)
+        alternating = max(v - 2, 0)
+        digits[:alternating] = _alternate(digits[:alternating], s)
+        digits[v - 1] += (-1) ** v * s * (k + 1)
+    if finite:
+        return DigitWord(int_part + s, (head, *digits))
+    return EvPeriodicWord(int_part + s, (head, *digits), period)
 
 
-def _first_digit(w: Word) -> int:
-    if isinstance(w, DigitWord):
-        return _at(w.digits, 0)
-    return w.digit_at(1)
-
-
-def _rebuild_finite(w: Word, head: int, deltas: dict[int, int], upto: int,
-                    new_int: int) -> Word:
-    """Replace the first digit by ``head`` and add deltas (1-based into the
-    tail after it), materializing enough digits to cover them."""
-    if isinstance(w, DigitWord):
-        tail = list(w.digits[1:])
-        tail += [0] * (upto - len(tail))
-        for pos, delta in deltas.items():
-            tail[pos - 1] += delta
-        return DigitWord(new_int, (head, *tail))
-    pre = w.preperiod[1:] if w.preperiod else ()
-    period = w.period if w.preperiod else _rotate(w.period, 1)
-    length = max(upto, len(pre))
-    tail = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
-            for i in range(length)]
-    for pos, delta in deltas.items():
-        tail[pos - 1] += delta
-    phase = (length - len(pre)) % len(period)
-    return EvPeriodicWord(new_int, (head, *tail), _rotate(period, phase))
-
-
-def _rebuild_alternating(w: EvPeriodicWord, head: int, first_sign: int,
-                         new_int: int) -> EvPeriodicWord:
-    """Replace the first digit by ``head`` and apply the infinite +-1
-    alternation (``first_sign`` at tail position 1) to the whole tail."""
-    pre = w.preperiod[1:] if w.preperiod else ()
-    period = w.period if w.preperiod else _rotate(w.period, 1)
-    length = len(pre) + (len(pre) % 2)  # even, so the period stays aligned
-    tail = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
-            for i in range(length)]
-    phase = (length - len(pre)) % len(period)
-    period = _rotate(period, phase)
-    if len(period) % 2 == 1:
-        period = period + period
-    tail = [d + (first_sign if i % 2 == 0 else -first_sign)
-            for i, d in enumerate(tail)]
-    period = tuple(d + (first_sign if i % 2 == 0 else -first_sign)
-                   for i, d in enumerate(period))
-    return EvPeriodicWord(new_int, (head, *tail), period)
-
-
-def _rotate(period: tuple[int, ...], phase: int) -> tuple[int, ...]:
-    phase %= len(period)
-    return period[phase:] + period[:phase]
+def _alternate(digits, s: int) -> list[int]:
+    return [d + (s if i % 2 == 0 else -s) for i, d in enumerate(digits)]
 
 
 # -- digit-range reduction ----------------------------------------------
@@ -359,12 +311,16 @@ RULES = tuple(_UNARY_RULES) + ("add",)
 
 def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
     steps: list[tuple[str, int]] = []
+    if rule not in RULES:
+        raise DomainError(f"unknown rewrite rule {rule!r}")
+    if rule not in ("carry", "borrow") and any(isinstance(w, EvPeriodicWord) for w in inputs):
+        raise DomainError(f"{rule} takes finite words, not periodic ones")
     if rule == "add":
         if len(inputs) != 2:
             raise DomainError("add takes two words")
         out = add_words(inputs[0], inputs[1], params)
         steps.append(("add", 0))
-    elif rule in _UNARY_RULES:
+    else:
         if len(inputs) != 1:
             raise DomainError(f"{rule} takes one word")
         if rule == "bsep":
@@ -372,8 +328,6 @@ def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
         else:
             out = _UNARY_RULES[rule](inputs[0], params)
             steps.append((rule, 1))
-    else:
-        raise DomainError(f"unknown rewrite rule {rule!r}")
     value = word_value(out, params)
     if rule in VALUE_PRESERVING_RULES and not (word_value(inputs[0], params) - value).is_zero():
         raise AssertionError(f"rule {rule} changed the value of {inputs[0]!r}")

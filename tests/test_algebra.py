@@ -71,8 +71,6 @@ def test_make_params_rejects():
 def test_digit_classes():
     assert list(P1.small_digits) == [0, 1]
     assert list(P1.big_digits) == [2, 3]
-    assert list(P1.small_except_top) == [0]
-    assert list(P1.big_except_bottom) == [3]
     assert list(P2.small_digits) == [0, 1, 2]
     assert list(P2.big_digits) == [3, 4, 5]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import goldenbeta
-from goldenbeta.algebra import ODD, EVEN, make_params, parse_field
+from goldenbeta.algebra import ODD, EVEN, DomainError, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
 from goldenbeta.cli import census_elements, census_sweep, main
 
@@ -121,14 +121,25 @@ def test_domain_error_exit(capsys):
     (["ones", "--depth", "1000000"], 3),
     (["enumerate", "1/3", "--depth", "1000000"], 3),
     (["census", "--depths", "6,1000000"], 3),
+    (["rewrite", "reduce", "0.3,(0,3)*"], 3),
+    (["rewrite", "add", "0.1", "0.(1)*"], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
-        "enumerate-over-depth-budget", "census-over-depth-budget"])
+        "enumerate-over-depth-budget", "census-over-depth-budget",
+        "rewrite-reduce-periodic", "rewrite-add-periodic"])
 def test_bad_input_exit_without_traceback(argv, code):
     proc = run_process(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_synth_node_budget(monkeypatch, capsys):
+    monkeypatch.setattr(goldenbeta.expand, "NODE_BUDGET", 2)
+    with pytest.raises(DomainError, match="node budget"):
+        goldenbeta.expand.synth_finite(parse_field("1/4", P1), P1)
+    assert main(["synth", "1/4"]) == 3
+    assert capsys.readouterr().err == "error: finite-expansion search exceeded node budget\n"
 
 
 def test_synth_construct_refuses_nonmember_and_falls_back():

@@ -95,6 +95,11 @@ def test_enumerate_rejects_outside():
     with pytest.raises(DomainError):
         third.prefixes_at()
     assert len(third.prefixes_at(10)) == third.count_at(10)
+    # the refusal names the depth and the budget, not the count
+    deepest = enumerate_prefixes(parse_field("1/3", P1), expand.DEPTH_BUDGET, P1)
+    with pytest.raises(DomainError) as refused:
+        deepest.prefixes_at()
+    assert "\n" not in str(refused.value) and len(str(refused.value)) < 100
 
 
 def test_enumerate_soundness():

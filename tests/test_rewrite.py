@@ -3,15 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldenbeta import rewrite
 from goldenbeta.algebra import DomainError, ODD, make_params
 from goldenbeta.words import (
+    IND_INF,
+    MINUS,
+    PLUS,
     DigitWord,
     EvPeriodicWord,
     format_word,
+    ind,
     is_B_separated,
     parse_word,
+    word_tail,
     word_value,
 )
 from goldenbeta.rewrite import (
@@ -177,6 +184,168 @@ def test_carry_injective_within_ind_class():
         by_class[key][out] = w
 
 
+# The carry and borrow maps as two separate mirror-image functions with their
+# two tail rebuilders, kept as the reference for the mirrored kernel.  Only
+# the two range tests are spelled out, in place of Params properties that no
+# longer exist.
+
+def ref_require_odd(params):
+    if params.parity != ODD:
+        raise DomainError("the rewriting calculus applies to odd-parity systems")
+
+
+def ref_carry_T_plus(w, params):
+    ref_require_odd(params)
+    k = params.k
+    if w.int_part != 0:
+        raise DomainError("carry expects integer part 0")
+    b = ref_first_digit(w)
+    if not params.in_big(b):
+        raise DomainError(f"carry needs a big first digit, got {b}")
+    tail = word_tail(w, 2)
+    v = ind(PLUS, tail, params)
+    if v == IND_INF or int(v) >= 2:
+        # these branches lower the head by k+2, so b = k+1 is out of range
+        if b not in range(k + 2, params.m + 1):
+            raise DomainError(f"carry needs a first digit in {{k+2..2k+1}}, got {b}")
+    if v == IND_INF:
+        return ref_rebuild_alternating(w, b - (k + 2), +1, 1)
+    v = int(v)
+    if v == 1:
+        return ref_rebuild_finite(w, b - (k + 1), {1: -(k + 1)}, v, 1)
+    deltas = {}
+    if v % 2 == 1:  # v = 2i-1, i >= 2: alternate through 2i-3, drop at v
+        for pos in range(1, v - 1):
+            deltas[pos] = 1 if pos % 2 == 1 else -1
+        deltas[v] = -(k + 1)
+    else:  # v = 2i: alternate through 2i-2, raise at v
+        for pos in range(1, v - 1):
+            deltas[pos] = 1 if pos % 2 == 1 else -1
+        deltas[v] = k + 1
+    return ref_rebuild_finite(w, b - (k + 2), deltas, v, 1)
+
+
+def ref_borrow_T_minus(w, params):
+    ref_require_odd(params)
+    k = params.k
+    if w.int_part != 1:
+        raise DomainError("borrow expects integer part 1")
+    a = ref_first_digit(w)
+    if not params.in_small(a):
+        raise DomainError(f"borrow needs a small first digit, got {a}")
+    tail = word_tail(w, 2)
+    v = ind(MINUS, tail, params)
+    if v == IND_INF or int(v) >= 2:
+        # these branches raise the head by k+2, so a = k is out of range
+        if a not in range(0, k):
+            raise DomainError(f"borrow needs a first digit in {{0..k-1}}, got {a}")
+    if v == IND_INF:
+        return ref_rebuild_alternating(w, a + (k + 2), -1, 0)
+    v = int(v)
+    if v == 1:
+        return ref_rebuild_finite(w, a + (k + 1), {1: k + 1}, v, 0)
+    deltas = {}
+    if v % 2 == 1:
+        for pos in range(1, v - 1):
+            deltas[pos] = -1 if pos % 2 == 1 else 1
+        deltas[v] = k + 1
+    else:
+        for pos in range(1, v - 1):
+            deltas[pos] = -1 if pos % 2 == 1 else 1
+        deltas[v] = -(k + 1)
+    return ref_rebuild_finite(w, a + (k + 2), deltas, v, 0)
+
+
+def ref_first_digit(w):
+    if isinstance(w, DigitWord):
+        return w.digits[0] if w.digits else 0
+    return w.digit_at(1)
+
+
+def ref_rebuild_finite(w, head, deltas, upto, new_int):
+    if isinstance(w, DigitWord):
+        tail = list(w.digits[1:])
+        tail += [0] * (upto - len(tail))
+        for pos, delta in deltas.items():
+            tail[pos - 1] += delta
+        return DigitWord(new_int, (head, *tail))
+    pre = w.preperiod[1:] if w.preperiod else ()
+    period = w.period if w.preperiod else ref_rotate(w.period, 1)
+    length = max(upto, len(pre))
+    tail = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
+            for i in range(length)]
+    for pos, delta in deltas.items():
+        tail[pos - 1] += delta
+    phase = (length - len(pre)) % len(period)
+    return EvPeriodicWord(new_int, (head, *tail), ref_rotate(period, phase))
+
+
+def ref_rebuild_alternating(w, head, first_sign, new_int):
+    pre = w.preperiod[1:] if w.preperiod else ()
+    period = w.period if w.preperiod else ref_rotate(w.period, 1)
+    length = len(pre) + (len(pre) % 2)  # even, so the period stays aligned
+    tail = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
+            for i in range(length)]
+    phase = (length - len(pre)) % len(period)
+    period = ref_rotate(period, phase)
+    if len(period) % 2 == 1:
+        period = period + period
+    tail = [d + (first_sign if i % 2 == 0 else -first_sign)
+            for i, d in enumerate(tail)]
+    period = tuple(d + (first_sign if i % 2 == 0 else -first_sign)
+                   for i, d in enumerate(period))
+    return EvPeriodicWord(new_int, (head, *tail), period)
+
+
+def ref_rotate(period, phase):
+    phase %= len(period)
+    return period[phase:] + period[:phase]
+
+
+@st.composite
+def trade_inputs(draw):
+    """A word with integer part 0 or 1 and any first digit (mostly the
+    integer part that digit's class trades with), then a run of
+    alternating small/big or big/small pairs, then a finite tail, a
+    periodic tail, or a periodic tail that never breaks the alternation
+    (so that ind is infinite)."""
+    params = make_params(draw(st.integers(1, 4)), ODD)
+    k, m = params.k, params.m
+    first = draw(st.integers(0, m))
+    int_part = draw(st.sampled_from((int(first <= k),) * 3 + (0, 1)))
+    digit = st.integers(0, m)
+    small, big = st.integers(0, k), st.integers(k + 1, m)
+    odd, even = (small, big) if draw(st.booleans()) else (big, small)
+
+    def pairs(lo, hi):
+        return [d for _ in range(draw(st.integers(lo, hi)))
+                for d in (draw(odd), draw(even))]
+
+    head = (first, *pairs(0, 3))
+    kind = draw(st.sampled_from(("finite", "periodic", "alternating")))
+    if kind == "finite":
+        return params, DigitWord(int_part, head + tuple(draw(st.lists(digit, max_size=4))))
+    if kind == "periodic":
+        pre = head + tuple(draw(st.lists(digit, max_size=3)))
+        return params, EvPeriodicWord(int_part, pre, draw(st.lists(digit, min_size=1, max_size=4)))
+    return params, EvPeriodicWord(int_part, head, pairs(1, 2))
+
+
+def _trade_outcome(fn, w, params):
+    try:
+        return fn(w, params)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trade_inputs())
+def test_trade_matches_reference(case):
+    params, w = case
+    assert _trade_outcome(carry_T_plus, w, params) == _trade_outcome(ref_carry_T_plus, w, params)
+    assert _trade_outcome(borrow_T_minus, w, params) == _trade_outcome(ref_borrow_T_minus, w, params)
+
+
 # -- reduce_digits ---------------------------------------------------------
 
 def test_reduce_examples():
@@ -290,6 +459,13 @@ def test_apply_rule_unknown():
     with pytest.raises(DomainError):
         apply_rule("swap", P1, w1("0.1"))
     assert "carry" in RULES and "add" in RULES
+
+
+@pytest.mark.parametrize("rule", ["cr", "bsep", "reduce", "mulbeta", "div", "add"])
+def test_apply_rule_refuses_periodic(rule):
+    words = (w1("0.1"), w1("0.(1)*")) if rule == "add" else (w1("0.3,(0,3)*"),)
+    with pytest.raises(DomainError, match="takes finite words"):
+        apply_rule(rule, P1, *words)
 
 
 def test_apply_rule_value_check(monkeypatch):
