@@ -42,14 +42,6 @@ class Params:
     m: int
     D: int | None
 
-    @property
-    def small_digits(self) -> range:
-        return range(0, self.k + 1)
-
-    @property
-    def big_digits(self) -> range:
-        return range(self.k + 1, self.m + 1)
-
     def in_small(self, d: int) -> bool:
         return 0 <= d <= self.k
 
@@ -92,6 +84,15 @@ def make_params(k: int, parity: str) -> Params:
     if parity == EVEN:
         return Params(k=k, parity=EVEN, m=2 * k, D=None)
     raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+
+
+def times_beta(p: int, q: int, params: Params) -> tuple[int, int]:
+    """The pair of beta*(p*beta + q): beta^2 = (k+1)(beta+1) in odd parity,
+    beta = k+1 (and p = 0) in even parity."""
+    k1 = params.k + 1
+    if params.parity == ODD:
+        return p * k1 + q, p * k1
+    return 0, q * k1
 
 
 def sign_pq(p: int, q: int, params: Params) -> int:
@@ -171,15 +172,10 @@ class FieldElem:
         if isinstance(other, int):
             return FieldElem(self.params, self.p * other, self.q * other, self.r)
         self._check_same(other)
-        k1 = self.params.k + 1
-        # (a*beta+b)(c*beta+d) with beta^2 = (k+1)(beta+1)
+        # (a*beta+b)(c*beta+d) = ac*beta^2 + (ad+bc)*beta + bd
         a, b, c, d = self.p, self.q, other.p, other.q
-        return FieldElem(
-            self.params,
-            a * c * k1 + a * d + b * c,
-            a * c * k1 + b * d,
-            self.r * other.r,
-        )
+        p, q = times_beta(a * c, 0, self.params)
+        return FieldElem(self.params, p + a * d + b * c, q + b * d, self.r * other.r)
 
     __rmul__ = __mul__
 
@@ -199,11 +195,8 @@ class FieldElem:
         return FieldElem(self.params, -p * r, (p * k1 + q) * r, norm)
 
     def mul_beta(self) -> "FieldElem":
-        """Exact multiplication by beta, reducing beta^2 = (k+1)(beta+1)."""
-        k1 = self.params.k + 1
-        if self.params.parity == EVEN:
-            return FieldElem(self.params, 0, self.q * k1, self.r)
-        return FieldElem(self.params, self.p * k1 + self.q, self.p * k1, self.r)
+        """Exact multiplication by beta."""
+        return FieldElem(self.params, *times_beta(self.p, self.q, self.params), self.r)
 
     def div_beta(self) -> "FieldElem":
         """Exact division by beta via 1/beta = (beta-(k+1))/(k+1)."""
@@ -240,20 +233,6 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({format_field(self)!r}, k={self.params.k}, {self.params.parity})"
-
-
-def fe_arith(op: str, a: FieldElem, b: FieldElem | None = None) -> FieldElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown arithmetic op {op!r}")
-
-
-def fe_mul_beta(a: FieldElem) -> FieldElem:
-    return a.mul_beta()
 
 
 LT, EQ, GT = "LT", "EQ", "GT"

@@ -32,6 +32,7 @@ from .algebra import (
     Params,
     fe_membership,
     sign_pq,
+    times_beta,
 )
 from .fseq import decompose_F, f_seq
 from .words import DigitWord, EvPeriodicWord, word_value
@@ -92,17 +93,17 @@ class PrefixTree:
 def _step(p: int, q: int, r: int, params: Params) -> Children:
     """The admissible digits e at the remainder y = (p*beta+q)/r, ascending,
     each mapped to the pair of beta*y - e over the same r."""
-    k1 = params.k + 1
+    p, q = times_beta(p, q, params)
     if params.parity == ODD:
-        p, q = p * k1 + q, p * k1  # beta^2 = (k+1)(beta+1)
         top_p, top_q = r, -params.k * r  # interval_bound = beta - k, times r
     else:
-        p, q = 0, q * k1
         top_p, top_q = 0, 2 * r
     out = {}
     for e in range(params.m + 1):
         qe = q - e * r
-        if sign_pq(p, qe, params) >= 0 and sign_pq(top_p - p, top_q - qe, params) >= 0:
+        if sign_pq(p, qe, params) < 0:
+            break  # beta*y - e only falls as e grows
+        if sign_pq(top_p - p, top_q - qe, params) >= 0:
             out[e] = (p, qe)
     return out
 

@@ -23,7 +23,6 @@ from .words import (
     EvPeriodicWord,
     Word,
     ind,
-    is_B_separated,
     word_tail,
     word_value,
 )

@@ -3,11 +3,13 @@
 A word is an integer part followed by fractional digits in base beta.
 Finite words carry a plain digit tuple; eventually periodic words carry a
 preperiod and a nonempty repeating period, always kept canonical (primitive
-period, shortest preperiod, all-zero period collapsed to (0,)).
+period, shortest preperiod, all-zero period collapsed to (0,)).  Validity
+(all digits in {0..m}) is a checkable predicate rather than a separate type,
+so intermediate rewriting states may hold any integer digits.
 
-Validity (all digits in {0..m}) is a checkable predicate rather than a
-separate type: intermediate rewriting states are allowed to hold digits in
-{-1,...,3k+2} and are flagged by ``is_raw_in_range``.
+``word_value`` evaluates every word, finite ones read with the period (0,),
+as (H(pre+per) - H(pre)) / (beta^(n+L) - beta^n): H is a Horner pass over
+integer pairs through ``times_beta``, and only the quotient is a FieldElem.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from math import inf
 
-from .algebra import DomainError, FieldElem, Params
+from .algebra import FieldElem, Params, times_beta
 
 IND_INF = inf
 
@@ -35,9 +37,6 @@ class DigitWord:
 
     def is_valid(self, params: Params) -> bool:
         return self.int_part >= 0 and all(0 <= d <= params.m for d in self.digits)
-
-    def is_raw_in_range(self, params: Params) -> bool:
-        return all(-1 <= d <= 3 * params.k + 2 for d in self.digits)
 
     def trimmed(self) -> "DigitWord":
         """Drop trailing zero digits (the finite-expansion identification)."""
@@ -146,33 +145,31 @@ def format_word(w: Word) -> str:
 # -- evaluation ----------------------------------------------------------
 
 def word_value(w: Word, params: Params) -> FieldElem:
-    """Exact value int_part + sum(eps_i * beta^-i), periodic tails in
-    closed form inside Q(beta)."""
+    """Exact value x = int_part + sum(eps_i * beta^-i).  With H the Horner
+    value of the integer part followed by a digit string, n the preperiod
+    length and L the period length, beta^n x = H(pre) + t and
+    beta^(n+L) x = H(pre+per) + t for the same periodic tail t, so
+    x = (H(pre+per) - H(pre)) / (beta^(n+L) - beta^n).  A finite word is
+    read with the period (0,)."""
     if isinstance(w, DigitWord):
-        return params.from_int(w.int_part) + _finite_value(w.digits, params)
-    tail = _finite_value(w.period, params)
-    length = len(w.period)
-    beta_pow = params.one
-    for _ in range(length):
-        beta_pow = beta_pow.mul_beta()
-    periodic = tail * beta_pow / (beta_pow - params.one)
-    value = _finite_value(w.preperiod, params) + _shift_right(
-        periodic, len(w.preperiod), params
-    )
-    return params.from_int(w.int_part) + value
+        pre, per = w.digits, (0,)
+    else:
+        pre, per = w.preperiod, w.period
+    hp, hq, gp, gq = _horner(pre, (0, w.int_part, 0, 1), params)
+    Hp, Hq, Gp, Gq = _horner(per, (hp, hq, gp, gq), params)
+    return FieldElem(params, Hp - hp, Hq - hq) / FieldElem(params, Gp - gp, Gq - gq)
 
 
-def _finite_value(digits: tuple[int, ...], params: Params) -> FieldElem:
-    value = params.zero
-    for d in reversed(digits):
-        value = (value + params.from_int(d)).div_beta()
-    return value
-
-
-def _shift_right(x: FieldElem, n: int, params: Params) -> FieldElem:
-    for _ in range(n):
-        x = x.div_beta()
-    return x
+def _horner(digits: tuple[int, ...], state: tuple[int, int, int, int],
+            params: Params) -> tuple[int, int, int, int]:
+    """Read ``digits`` into the Horner pair (hp, hq) of ``state`` while
+    multiplying its power pair (gp, gq) by beta once per digit."""
+    hp, hq, gp, gq = state
+    for d in digits:
+        hp, hq = times_beta(hp, hq, params)
+        hq += d
+        gp, gq = times_beta(gp, gq, params)
+    return hp, hq, gp, gq
 
 
 # -- digit-class predicates ----------------------------------------------

@@ -19,10 +19,8 @@ from goldenbeta.algebra import (
     DomainError,
     FieldElem,
     ParameterError,
-    fe_arith,
     fe_cmp,
     fe_membership,
-    fe_mul_beta,
     format_field,
     make_params,
     parse_field,
@@ -69,25 +67,26 @@ def test_make_params_rejects():
 
 
 def test_digit_classes():
-    assert list(P1.small_digits) == [0, 1]
-    assert list(P1.big_digits) == [2, 3]
-    assert list(P2.small_digits) == [0, 1, 2]
-    assert list(P2.big_digits) == [3, 4, 5]
+    assert [d for d in range(-1, 5) if P1.in_small(d)] == [0, 1]
+    assert [d for d in range(-1, 5) if P1.in_big(d)] == [2, 3]
+    assert [d for d in range(-1, 7) if P2.in_small(d)] == [0, 1, 2]
+    assert [d for d in range(-1, 7) if P2.in_big(d)] == [3, 4, 5]
 
 
 def test_fe_arith_examples():
     one = P1.one
     half_bm1 = FieldElem(P1, 1, -1, 2)  # (beta-1)/2
-    assert (fe_arith("add", one, half_bm1) - FieldElem(P1, 1, 1, 2)).is_zero()
-    assert fe_arith("sub", half_bm1, half_bm1).is_zero()
+    assert ((one + half_bm1) - FieldElem(P1, 1, 1, 2)).is_zero()
+    assert (half_bm1 - half_bm1).is_zero()
     half_b = FieldElem(P1, 1, 0, 2)
-    assert (fe_arith("add", half_b, half_b) - P1.beta).is_zero()
+    assert ((half_b + half_b) - P1.beta).is_zero()
 
 
 def test_fe_mul_beta_examples():
-    assert (fe_mul_beta(P1.beta) - FieldElem(P1, 2, 2, 1)).is_zero()
-    assert (fe_mul_beta(FieldElem(P1, 0, 1, 2)) - FieldElem(P1, 1, 0, 2)).is_zero()
-    assert (fe_mul_beta(FieldElem(P1, 1, -2, 1)) - P1.from_int(2)).is_zero()
+    assert (P1.beta.mul_beta() - FieldElem(P1, 2, 2, 1)).is_zero()
+    assert (FieldElem(P1, 0, 1, 2).mul_beta() - FieldElem(P1, 1, 0, 2)).is_zero()
+    assert (FieldElem(P1, 1, -2, 1).mul_beta() - P1.from_int(2)).is_zero()
+    assert (FieldElem(E1, 0, 3, 4).mul_beta() - FieldElem(E1, 0, 3, 2)).is_zero()
 
 
 def test_fe_cmp_examples():
@@ -134,13 +133,20 @@ fe_triples = st.tuples(
 )
 
 
-@given(fe_triples)
+params_k123 = st.builds(make_params, st.integers(1, 3), st.sampled_from([ODD, EVEN]))
+
+
+@given(fe_triples, params_k123)
 @settings(max_examples=300)
-def test_minimal_polynomial_property(t):
-    x = FieldElem(P1, *t)
-    lhs = fe_mul_beta(fe_mul_beta(x))
-    rhs = fe_mul_beta(x) * 2 + x * 2
-    assert (lhs - rhs).is_zero()
+def test_minimal_polynomial_property(t, params):
+    x = FieldElem(params, *t)
+    k1 = params.k + 1
+    bx = x.mul_beta()
+    assert (bx - x * params.beta).is_zero()
+    if params.parity == ODD:  # beta^2 = (k+1)(beta+1)
+        assert (bx.mul_beta() - (bx + x) * k1).is_zero()
+    else:  # beta = k+1
+        assert (bx - x * k1).is_zero()
 
 
 @given(fe_triples, fe_triples, st.sampled_from([1, 2, 3]))
@@ -156,6 +162,7 @@ def test_cmp_matches_decimal(ta, tb, k):
         assert got == GT
     else:
         assert got == LT
+    assert abs(to_decimal(a * b) - to_decimal(a) * to_decimal(b)) < decimal.Decimal("1e-80")
 
 
 @given(fe_triples, fe_triples)

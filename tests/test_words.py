@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goldenbeta.algebra import FieldElem, ODD, make_params
+from goldenbeta.algebra import EVEN, FieldElem, ODD, make_params
 from goldenbeta.words import (
     IND_INF,
     MINUS,
@@ -146,8 +148,55 @@ def test_valid_word_value_in_interval():
         assert v.sign() >= 0 and v <= bound
 
 
-def test_raw_range_flag():
-    assert DigitWord(0, (-1, 5)).is_raw_in_range(P1)
-    assert not DigitWord(0, (-2,)).is_raw_in_range(P1)
-    assert not DigitWord(0, (6,)).is_raw_in_range(P1)
+def test_validity():
+    assert DigitWord(0, (0, 3)).is_valid(P1)
     assert not DigitWord(0, (5,)).is_valid(P1)
+    assert not DigitWord(0, (-1,)).is_valid(P1)
+    assert not EvPeriodicWord(0, (1,), (4,)).is_valid(P1)
+
+
+def ref_word_value(w, params):
+    """The digit-by-digit evaluator ``word_value`` replaced: one ``div_beta``
+    per digit, and a periodic tail summed through a loop of beta powers."""
+    if isinstance(w, DigitWord):
+        return params.from_int(w.int_part) + _ref_finite_value(w.digits, params)
+    tail = _ref_finite_value(w.period, params)
+    beta_pow = params.one
+    for _ in range(len(w.period)):
+        beta_pow = beta_pow.mul_beta()
+    periodic = tail * beta_pow / (beta_pow - params.one)
+    value = _ref_finite_value(w.preperiod, params) + _ref_shift_right(
+        periodic, len(w.preperiod))
+    return params.from_int(w.int_part) + value
+
+
+def _ref_finite_value(digits, params):
+    value = params.zero
+    for d in reversed(digits):
+        value = (value + params.from_int(d)).div_beta()
+    return value
+
+
+def _ref_shift_right(x, n):
+    for _ in range(n):
+        x = x.div_beta()
+    return x
+
+
+@st.composite
+def words_with_params(draw):
+    params = make_params(draw(st.integers(1, 4)), draw(st.sampled_from([ODD, EVEN])))
+    int_part = draw(st.integers(0, 2))
+    pre = tuple(draw(st.lists(st.integers(0, params.m), max_size=8)))
+    if draw(st.booleans()):
+        return params, DigitWord(int_part, pre)
+    per = tuple(draw(st.lists(st.integers(0, params.m), min_size=1, max_size=4)))
+    return params, EvPeriodicWord(int_part, pre, per)
+
+
+@given(words_with_params())
+@settings(max_examples=400)
+def test_word_value_matches_reference(pw):
+    params, w = pw
+    got, want = word_value(w, params), ref_word_value(w, params)
+    assert (got.p, got.q, got.r) == (want.p, want.q, want.r)
