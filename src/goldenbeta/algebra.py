@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 ODD = "odd"
 EVEN = "even"
@@ -110,6 +110,18 @@ def sign_pq(p: int, q: int, params: Params) -> int:
     if U > 0:  # V < 0
         return 1 if lhs > rhs else -1
     return 1 if rhs > lhs else -1  # U < 0, V > 0
+
+
+def floor_pq(p: int, q: int, r: int, params: Params) -> int:
+    """floor((p*beta + q)/r) for r > 0 (p = 0 in even parity), exactly."""
+    if params.parity == EVEN or p == 0:
+        return q // r
+    # 2(p*beta+q) = U + p*sqrt(D) with U = p(k+1)+2q.  D = (k+3)^2 - 4 is
+    # never a square, so p*sqrt(D) lies strictly between two integers and
+    # the floor of the sum over 2r is the floor of the lower one over 2r.
+    U = p * (params.k + 1) + 2 * q
+    s = isqrt(p * p * params.D)
+    return (U + s) // (2 * r) if p > 0 else (U - s - 1) // (2 * r)
 
 
 @dataclass(frozen=True)

@@ -65,16 +65,27 @@ def _certificate_json(c: expand.Classification):
 
 # -- census ----------------------------------------------------------------
 
+# Most candidate (p, q, r) triples a census window may hold.
+CENSUS_WINDOW_BUDGET = 250_000
+
+
 def census_elements(params: Params, den_bound: int, num_bound: int) -> list[FieldElem]:
     """Canonical field elements strictly inside the expansion interval with
-    denominator <= den_bound and |p|, |q| <= num_bound, sorted by value."""
+    denominator <= den_bound and |p|, |q| <= num_bound, sorted by value.
+    A window of more than ``CENSUS_WINDOW_BUDGET`` candidate triples is
+    refused before any element is built."""
     top = params.interval_bound
     seen = set()
     out = []
-    p_range = range(-num_bound, num_bound + 1) if params.parity == ODD else (0,)
+    q_range = range(-num_bound, num_bound + 1)
+    p_range = q_range if params.parity == ODD else (0,)
+    window = max(den_bound, 0) * len(p_range) * len(q_range)
+    if window > CENSUS_WINDOW_BUDGET:
+        raise DomainError(f"census window of {window} candidates is over the "
+                          f"window budget of {CENSUS_WINDOW_BUDGET}")
     for r in range(1, den_bound + 1):
         for p in p_range:
-            for q in range(-num_bound, num_bound + 1):
+            for q in q_range:
                 x = FieldElem(params, p, q, r)
                 if x.r > den_bound or abs(x.p) > num_bound or abs(x.q) > num_bound:
                     continue  # reduced out of the requested window

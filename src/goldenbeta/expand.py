@@ -2,26 +2,37 @@
 
 A depth-d prefix of an expansion of x is valid exactly when its remainder
 beta^d*(x - value(prefix)) stays inside [0, m/(beta-1)].  ``_step`` alone
-decides that test, on the integer pair (p, q) of a remainder (p*beta+q)/r;
-every remainder of x keeps x's denominator r.  The remainder and its Galois
-conjugate are both bounded, so x reaches finitely many pairs: its remainder
-graph, with edges labelled by digits.  ``_graph`` builds it lazily and
-memoises it, branching each pair once; the number of valid prefixes at a
-depth is the number of paths of that length out of x, a dynamic program over
-the graph.  Each remainder in the interval admits a digit, so the graph has
-no dead ends and a lexicographic walk may stop after its first prefixes.
+decides that test, on the integer pair (p, q) of a remainder (p*beta+q)/r:
+the admissible digits form one interval between two exact floors.  Every
+remainder of x keeps x's denominator r, so the remainder graph, with pairs
+as states and digits as edge labels, depends only on the system and r, and
+x is just the state where a walk enters it.  The remainder and its Galois
+conjugate are both bounded, so each graph is finite.
+
+There is one graph per denominator, shared across points: ``_graph``
+returns it from a module-level cache, states get integer ids, and a
+state's (digit, state id) edges are resolved once, when it is first
+branched.  The cache is bounded by ``GRAPH_STATE_BUDGET`` states summed
+over its graphs; a lookup evicts the least recently used graphs over that
+bound, so the cache holds at most the bound plus what one query adds.  One
+lock guards the cache and the graphs, which threads may share.
+Every query walks the same graph: the number of valid prefixes at a depth
+is the number of paths of that length out of x, a dynamic program over the
+ids; listings and branch witnesses are the first prefixes of one
+lexicographic walk (each remainder in the interval admits a digit, so the
+graph has no dead ends and the walk may stop early); and ``synth_finite``
+is a breadth-first search from x to the state 0.
+
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
-witnesses, the first prefixes of the same walk at a depth with enough of them.
-No call accepts a depth over ``DEPTH_BUDGET``.
+witnesses.  No call accepts a depth over ``DEPTH_BUDGET``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+import threading
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .algebra import (
     IN_F,
@@ -31,7 +42,7 @@ from .algebra import (
     FieldElem,
     Params,
     fe_membership,
-    sign_pq,
+    floor_pq,
     times_beta,
 )
 from .fseq import decompose_F, f_seq
@@ -46,6 +57,8 @@ UNIQUE_ENDPOINT = "UniqueEndpoint"
 
 # The branching of one remainder pair: admissible digit -> next pair.
 Children = dict[int, tuple[int, int]]
+# The branching of one graph state: (digit, child state id), ascending.
+Edges = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -63,18 +76,22 @@ DEPTH_BUDGET = 4096
 NODE_BUDGET = 2_000_000
 # Most word additions ``construct_route`` makes before giving up.
 TERM_BUDGET = 20_000
+# Most remainder-graph states the cache keeps between calls, over all graphs.
+GRAPH_STATE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
 class PrefixTree:
     """The valid prefixes of x up to ``depth``.  ``counts[d]`` is the number
-    of paths of length d out of x in its finite remainder graph; the
-    prefixes themselves are walked off the memoised graph only when listed."""
+    of paths of length d out of x's state in the shared remainder graph of
+    its denominator; the prefixes are walked off that graph only when
+    listed.  The tree keeps its graph, so listing works after eviction."""
 
     x: FieldElem
     depth: int
     counts: tuple[int, ...] = field(repr=False)
-    step: Callable[[int, int], Children] = field(repr=False, compare=False)
+    graph: _Graph = field(repr=False, compare=False)
+    root: int = field(repr=False, compare=False)
 
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth
@@ -82,7 +99,7 @@ class PrefixTree:
         if n > PREFIX_BUDGET:
             raise DomainError(f"more than {PREFIX_BUDGET} prefixes at depth {d}, "
                               "over the listing budget")
-        return list(_walk(self.x, d, self.step))
+        return _walk(self.graph, self.root, d, n)
 
     def count_at(self, depth: int) -> int:
         if not 0 <= depth <= self.depth:
@@ -92,59 +109,135 @@ class PrefixTree:
 
 def _step(p: int, q: int, r: int, params: Params) -> Children:
     """The admissible digits e at the remainder y = (p*beta+q)/r, ascending,
-    each mapped to the pair of beta*y - e over the same r."""
+    each mapped to the pair of beta*y - e over the same r: the e with
+    0 <= beta*y - e <= m/(beta-1), from one floor for each side."""
     p, q = times_beta(p, q, params)
     if params.parity == ODD:
         top_p, top_q = r, -params.k * r  # interval_bound = beta - k, times r
     else:
         top_p, top_q = 0, 2 * r
-    out = {}
-    for e in range(params.m + 1):
-        qe = q - e * r
-        if sign_pq(p, qe, params) < 0:
-            break  # beta*y - e only falls as e grows
-        if sign_pq(top_p - p, top_q - qe, params) >= 0:
-            out[e] = (p, qe)
+    lo = -floor_pq(top_p - p, top_q - q, r, params)  # least e with beta*y - e <= top
+    hi = floor_pq(p, q, r, params)  # greatest e with beta*y - e >= 0
+    out: Children = {}
+    # a loop, not a comprehension: the interval holds at most three digits,
+    # and a comprehension's own frame costs more than filling them
+    for e in range(lo if lo > 0 else 0, (hi if hi < params.m else params.m) + 1):
+        out[e] = (p, q - e * r)
     return out
 
 
-def _graph(x: FieldElem, params: Params) -> Callable[[int, int], Children]:
-    """The remainder graph of x, built as it is reached: ``step(p, q)`` is
-    ``_step`` over x's denominator, computed once per distinct pair."""
+class _Graph:
+    """The remainder graph over one denominator r: state ids by pair, and
+    for each id its edges, ``None`` until the state is first branched.
+    State 0 is the remainder 0, where every finite expansion ends."""
+
+    __slots__ = ("params", "r", "ids", "pairs", "edges", "cache")
+
+    def __init__(self, params: Params, r: int, cache: _Cache):
+        self.params = params
+        self.r = r
+        self.ids: dict[tuple[int, int], int] = {}
+        self.pairs: list[tuple[int, int]] = []
+        self.edges: list[Edges | None] = []
+        self.cache: _Cache | None = cache  # None once evicted
+        self.state((0, 0))
+
+    def state(self, pair: tuple[int, int]) -> int:
+        """The id of ``pair``, interned on first sight; call with ``_LOCK``
+        held."""
+        i = self.ids.get(pair)
+        if i is None:
+            i = self.ids[pair] = len(self.pairs)
+            self.pairs.append(pair)
+            self.edges.append(None)
+            if self.cache is not None:
+                self.cache.states += 1
+        return i
+
+    def branch(self, i: int) -> Edges:
+        with _LOCK:
+            out = self.edges[i]
+            if out is None:
+                children = _step(*self.pairs[i], self.r, self.params)
+                out = self.edges[i] = tuple([(e, self.state(y)) for e, y in children.items()])
+        return out
+
+
+class _Cache:
+    """The shared graphs by (params, denominator), least recently used
+    first, and the number of states they hold."""
+
+    __slots__ = ("graphs", "states")
+
+    def __init__(self):
+        self.graphs: dict[tuple[Params, int], _Graph] = {}
+        self.states = 0
+
+
+_CACHE = _Cache()
+# Guards the cache and its graphs, which threads share: interning a state is
+# a check-then-act.  A resolved edge tuple never changes, so reading one
+# needs no lock.
+_LOCK = threading.Lock()
+
+
+def _graph(x: FieldElem, params: Params) -> tuple[_Graph, int]:
+    """The shared remainder graph over x's denominator, and x's state in it.
+    Before returning them, evict least recently used graphs (this one last)
+    until the cache holds at most ``GRAPH_STATE_BUDGET`` states."""
     r = x.r
-    memo: dict[tuple[int, int], Children] = {}
+    key = (params, r)
+    cache = _CACHE
+    graphs = cache.graphs
+    with _LOCK:
+        g = graphs.pop(key, None)
+        if g is not None:
+            graphs[key] = g
+        while cache.states > GRAPH_STATE_BUDGET:
+            old = graphs.pop(next(iter(graphs)))
+            old.cache = None
+            cache.states -= len(old.pairs)
+            log.debug("evicted the remainder graph of r=%d (k=%d, %s): %d states",
+                      old.r, old.params.k, old.params.parity, len(old.pairs))
+        g = graphs.get(key)
+        if g is None:
+            g = graphs[key] = _Graph(params, r, cache)
+            log.debug("created the remainder graph of r=%d (k=%d, %s); "
+                      "the cache holds %d states in %d graphs",
+                      r, params.k, params.parity, cache.states, len(graphs))
+        root = g.state((x.p, x.q))
+    return g, root
 
-    def step(p: int, q: int) -> Children:
-        children = memo.get((p, q))
-        if children is None:
-            children = memo[p, q] = _step(p, q, r, params)
-        return children
 
-    return step
-
-
-def _walk(x: FieldElem, depth: int, step: Callable[[int, int], Children]):
-    """The valid prefixes of x of length ``depth``, in lexicographic order: a
-    depth-first walk with one digit path and a stack of child iterators, one
-    per node on the path (explicit, because witness depths pass the recursion
-    limit)."""
+def _walk(g: _Graph, root: int, depth: int, limit: int) -> list[tuple[int, ...]]:
+    """The first ``limit`` valid prefixes of length ``depth`` out of state
+    ``root``, in lexicographic order: a depth-first walk with one digit path
+    and a stack of edge iterators (explicit, because witness depths pass the
+    recursion limit); each parent of leaves emits its leaves at once."""
     if depth == 0:
-        yield ()
-        return
+        return [()][:limit]
+    if depth == 1:
+        return [(e,) for e, _ in g.branch(root)][:limit]
+    edges = g.edges
+    out: list[tuple[int, ...]] = []
     path: list[int] = []
-    stack = [iter(step(x.p, x.q).items())]
+    stack = [iter(g.branch(root))]
     while stack:
-        for e, y in stack[-1]:
-            if len(stack) == depth:
-                yield (*path, e)
-            else:
-                path.append(e)
-                stack.append(iter(step(*y).items()))
+        for e, j in stack[-1]:
+            path.append(e)
+            kids = edges[j] or g.branch(j)
+            if len(path) < depth - 1:
+                stack.append(iter(kids))
                 break
+            out += [(*path, d) for d, _ in kids]
+            path.pop()
+            if len(out) >= limit:
+                return out[:limit]
         else:
             stack.pop()
             if path:
                 path.pop()
+    return out
 
 
 def _check_depth(depth: int) -> None:
@@ -160,17 +253,18 @@ def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
     _check_depth(depth)
     if x.sign() < 0 or x > params.interval_bound:
         raise DomainError("x outside the expansion interval")
-    step = _graph(x, params)
-    layer = {(x.p, x.q): 1}  # paths of the current length, by end state
+    g, root = _graph(x, params)
+    edges = g.edges
+    layer = {root: 1}  # paths of the current length, by end state
     counts = [1]
     for _ in range(depth):
-        nxt: dict[tuple[int, int], int] = {}
-        for y, n in layer.items():
-            for z in step(*y).values():
-                nxt[z] = nxt.get(z, 0) + n
+        nxt: dict[int, int] = {}
+        for i, n in layer.items():
+            for _, j in edges[i] or g.branch(i):
+                nxt[j] = nxt.get(j, 0) + n
         layer = nxt
         counts.append(sum(nxt.values()))
-    return PrefixTree(x, depth, tuple(counts), step)
+    return PrefixTree(x, depth, tuple(counts), g, root)
 
 
 def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
@@ -192,22 +286,24 @@ def expansions_of_one(depth: int, params: Params) -> list[EvPeriodicWord]:
 
 
 def synth_finite(x: FieldElem, params: Params) -> DigitWord:
-    """Finite word evaluating exactly to x, by breadth-first search over
-    exact remainders (deduplicated: the remainder orbit of any point with
-    bounded denominator is finite, so the search always halts)."""
+    """Finite word evaluating exactly to x: the lexicographically first of
+    the shortest paths from x to the state 0, by breadth-first search over
+    x's remainder graph (finite, so the search always halts)."""
     _refuse_nonmember(x)
-    seen = {(x.p, x.q)}
-    frontier = [((), x.p, x.q)]
+    g, root = _graph(x, params)
+    edges = g.edges
+    seen = {root}
+    frontier: list[tuple[tuple[int, ...], int]] = [((), root)]
     while frontier:
         nxt = []
-        for pfx, p, q in frontier:
-            for e, y in _step(p, q, x.r, params).items():
-                if y in seen:
+        for pfx, i in frontier:
+            for e, j in edges[i] or g.branch(i):
+                if j in seen:
                     continue
-                if y == (0, 0):
+                if j == 0:  # the remainder 0
                     return DigitWord(0, pfx + (e,))
-                seen.add(y)
-                nxt.append((pfx + (e,), *y))
+                seen.add(j)
+                nxt.append((pfx + (e,), j))
                 if len(seen) > NODE_BUDGET + 1:  # x itself is not a searched node
                     raise DomainError("finite-expansion search exceeded node budget")
         frontier = nxt
@@ -348,9 +444,9 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
     if fe_membership(x) in (IN_S, IN_F):
         raise DomainError("branch witnesses are for points without finite expansions")
     target = min(budget, 2 ** (depth // 3))
-    step = _graph(x, params)
+    g, root = _graph(x, params)
     for d in range(depth, 40 * depth + 1):
-        leaves = list(islice(_walk(x, d, step), target))
+        leaves = _walk(g, root, d, target)
         if len(leaves) == target:
             return leaves
     raise DomainError("prefix tree never reached the witness target")

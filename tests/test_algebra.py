@@ -21,9 +21,11 @@ from goldenbeta.algebra import (
     ParameterError,
     fe_cmp,
     fe_membership,
+    floor_pq,
     format_field,
     make_params,
     parse_field,
+    sign_pq,
 )
 
 P1 = make_params(1, ODD)
@@ -218,3 +220,25 @@ def test_sign_cases():
     assert FieldElem(P1, -1, 2, 1).sign() == -1  # 2-beta < 0
     assert FieldElem(P1, 1, -3, 1).sign() == -1  # beta-3 < 0
     assert P1.zero.sign() == 0
+
+
+@given(st.integers(1, 5), st.sampled_from([ODD, EVEN]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000))
+@settings(max_examples=500)
+def test_floor_pq_brackets(k, parity, p, q, r):
+    # f = floor((p*beta+q)/r) exactly when f*r <= p*beta+q < (f+1)*r
+    params = make_params(k, parity)
+    if parity == EVEN:
+        p = 0
+    f = floor_pq(p, q, r, params)
+    assert sign_pq(p, q - f * r, params) >= 0
+    assert sign_pq(p, q - (f + 1) * r, params) < 0
+
+
+def test_floor_pq_examples():
+    assert floor_pq(1, 0, 1, P1) == 2      # beta = 1+sqrt(3) = 2.73...
+    assert floor_pq(-1, 0, 1, P1) == -3
+    assert floor_pq(1, -2, 1, P1) == 0     # beta-2 in (0, 1)
+    assert floor_pq(3, 1, 4, P1) == 2      # (3*beta+1)/4 = 2.29...
+    assert floor_pq(-3, 1, 4, P1) == -2
+    assert floor_pq(0, -7, 2, E1) == -4

@@ -123,15 +123,30 @@ def test_domain_error_exit(capsys):
     (["census", "--depths", "6,1000000"], 3),
     (["rewrite", "reduce", "0.3,(0,3)*"], 3),
     (["rewrite", "add", "0.1", "0.(1)*"], 3),
+    (["census", "--den-bound", "200", "--num-bound", "200", "--depths", "6"], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
         "enumerate-over-depth-budget", "census-over-depth-budget",
-        "rewrite-reduce-periodic", "rewrite-add-periodic"])
+        "rewrite-reduce-periodic", "rewrite-add-periodic", "census-over-window-budget"])
 def test_bad_input_exit_without_traceback(argv, code):
     proc = run_process(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_census_window_budget(monkeypatch, capsys):
+    # the default window holds 4 * 9 * 9 candidate triples
+    monkeypatch.setattr(goldenbeta.cli, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9)
+    assert main(["census"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(goldenbeta.cli, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9 - 1)
+    assert main(["census"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: census window of 324 candidates is over "
+                            "the window budget of 323\n")
+    assert census_elements(make_params(1, EVEN), 3, 40) != []  # p = 0: 3 * 1 * 81 triples
 
 
 def test_synth_node_budget(monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Enumeration, synthesis, classification, branch witnesses."""
 
+import logging
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -17,6 +20,8 @@ from goldenbeta.algebra import (
     fe_membership,
     make_params,
     parse_field,
+    sign_pq,
+    times_beta,
 )
 from goldenbeta.words import DigitWord, word_value
 from goldenbeta.expand import (
@@ -380,9 +385,172 @@ def test_witnesses_match_reference(point):
     # reference walk at the first depth >= 12 that has that many
     x, params = point
     ws = branch_witness(x, 12, 32, params)
-    with mock.patch.object(expand, "_step", ref_step):
+    # an empty cache, so that the patched run builds its own graph
+    with mock.patch.object(expand, "_step", ref_step), \
+            mock.patch.object(expand, "_CACHE", expand._Cache()):
         assert branch_witness(x, 12, 32, params) == ws
     levels = ref_levels(x, 12, params)
     while len(levels[-1]) < 16:
         levels = ref_levels(x, len(levels), params)
     assert ws == [pfx for pfx, _ in levels[-1][:16]]
+
+
+def loop_step(p, q, r, params):
+    """expand._step as m+1 sign trials, one per digit."""
+    p, q = times_beta(p, q, params)
+    if params.parity == ODD:
+        top_p, top_q = r, -params.k * r
+    else:
+        top_p, top_q = 0, 2 * r
+    out = {}
+    for e in range(params.m + 1):
+        qe = q - e * r
+        if sign_pq(p, qe, params) < 0:
+            break
+        if sign_pq(top_p - p, top_q - qe, params) >= 0:
+            out[e] = (p, qe)
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5), st.sampled_from((ODD, EVEN)), st.integers(1, 200),
+       st.integers(-600, 600), st.integers(-600, 600))
+def test_step_matches_sign_trials(k, parity, r, p, q):
+    # the two-floor digit interval against one sign test per digit, both
+    # inside the expansion interval and far outside it (where it is empty)
+    params = make_params(k, parity)
+    if parity == EVEN:
+        p = 0
+    assert list(expand._step(p, q, r, params).items()) == list(loop_step(p, q, r, params).items())
+
+
+# -- the shared graph cache ----------------------------------------------------
+
+def queries(x, params):
+    """Every graph query on x: path counts, listings, and the finite word
+    or the branch witnesses."""
+    tree = enumerate_prefixes(x, 10, params)
+    listed = [tree.prefixes_at(d) for d in range(11)]
+    if fe_membership(x) in (IN_S, IN_F):
+        found = synth_finite(x, params)
+    else:
+        found = branch_witness(x, 12, 32, params)
+    return tree.counts, listed, found
+
+
+def same_denominator(x, params):
+    """Other points strictly inside the interval with x's denominator."""
+    ps = range(-4, 5) if params.parity == ODD else (0,)
+    ys = (FieldElem(params, p, q, x.r) for p in ps for q in range(-20, 3 * x.r + 20))
+    return [y for y in ys if y.r == x.r and y != x
+            and y.sign() > 0 and y < params.interval_bound][:8]
+
+
+def cached():
+    """The states held by the graph cache, counted afresh and checked against
+    the cache's own count."""
+    states = sum(len(g.pairs) for g in expand._CACHE.graphs.values())
+    assert expand._CACHE.states == states
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(points(members=True), points(members=False)))
+def test_graph_cache_changes_no_result(point):
+    x, params = point
+    with mock.patch.object(expand, "_CACHE", expand._Cache()):
+        alone = queries(x, params)
+    with mock.patch.object(expand, "_CACHE", expand._Cache()):
+        others = same_denominator(x, params)
+        for y in others:
+            queries(y, params)
+        if others:
+            assert list(expand._CACHE.graphs) == [(params, x.r)]  # one shared graph
+        assert queries(x, params) == alone
+
+
+def test_graph_cache_state_bound(monkeypatch, caplog):
+    # a tiny bound evicts on nearly every lookup and changes no result; after
+    # each query the cache holds at most the bound plus the states that query
+    # added to the one graph it looked up
+    xs = [FieldElem(params, p, q, r)
+          for params in (make_params(k, parity) for k in (1, 2, 3, 4) for parity in (ODD, EVEN))
+          for r in (1, 2, 3, 5, 6, 9) for p in ((-1, 1) if params.parity == ODD else (0,))
+          for q in (1, 2, 4)]
+    xs = [x for x in xs if x.sign() > 0 and x < x.params.interval_bound]
+    assert len(xs) > 100
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    want = [queries(x, x.params) for x in xs]
+    bound = 5
+    monkeypatch.setattr(expand, "GRAPH_STATE_BUDGET", bound)
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    looked_up = []  # (graph, its states before the lookup)
+    real_graph = expand._graph
+
+    def within_bound():
+        g, n = looked_up[-1]
+        assert cached() <= bound + len(g.pairs) - n
+
+    def graph(x, params):
+        if looked_up:  # the previous query has finished
+            within_bound()
+        old = expand._CACHE.graphs.get((params, x.r))
+        n = len(old.pairs) if old else 0
+        g, root = real_graph(x, params)
+        looked_up.append((g, n if g is old else 0))
+        return g, root
+
+    monkeypatch.setattr(expand, "_graph", graph)
+    with caplog.at_level(logging.DEBUG, logger=expand.__name__):
+        for x, expected in zip(xs, want):
+            assert queries(x, x.params) == expected
+            within_bound()
+    evictions = [rec for rec in caplog.records if "evicted" in rec.getMessage()]
+    assert len(evictions) > 20
+
+
+def test_graph_cache_stops_counting_evicted_graphs(monkeypatch):
+    # a query in another thread may still walk a graph that a lookup has
+    # just evicted; what it adds there no longer counts toward the bound
+    monkeypatch.setattr(expand, "GRAPH_STATE_BUDGET", 0)
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    g, root = expand._graph(parse_field("1/3", P1), P1)
+    expand._graph(parse_field("1/5", P1), P1)
+    assert list(expand._CACHE.graphs) == [(P1, 5)]
+    assert len(expand._walk(g, root, 8, 10 ** 6)) == enumerate_prefixes(
+        parse_field("1/3", P1), 8, P1).count_at(8)
+    assert len(g.pairs) > 2
+    cached()
+
+
+def test_graph_cache_shared_across_threads(monkeypatch):
+    # threads that fill the same graphs at the same time, switching every
+    # microsecond, get the results of a sequential run: a lost update while
+    # interning a state would give two pairs one id
+    xs = [FieldElem(params, p, q, r) for params in (make_params(2, ODD), make_params(3, ODD))
+          for r in (7, 11, 13) for p in (-1, 1) for q in range(1, 9)]
+    xs = [x for x in xs if x.sign() > 0 and x < x.params.interval_bound]
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    want = [enumerate_prefixes(x, 40, x.params).counts for x in xs]
+    got = {}
+
+    def work(t):
+        for i, x in enumerate(xs):
+            got[t, i] = enumerate_prefixes(x, 40, x.params).counts
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(16):  # a race shows only in some rounds
+            monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+            got.clear()
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {(t, i): counts for t in range(4) for i, counts in enumerate(want)}
+            cached()  # the cache's state count lost no update
+    finally:
+        sys.setswitchinterval(old)
