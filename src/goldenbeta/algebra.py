@@ -42,6 +42,14 @@ class Params:
     m: int
     D: int | None
 
+    def __post_init__(self):
+        # interval_bound, m/(beta-1): beta-k for odd parity, 2 for even
+        # parity.  Built once, as the last attribute set at construction: a
+        # cached_property would write it later through the instance dict,
+        # which on CPython makes every later attribute read on it slower.
+        top = FieldElem(self, 1, -self.k, 1) if self.parity == ODD else FieldElem(self, 0, 2, 1)
+        object.__setattr__(self, "interval_bound", top)
+
     def in_small(self, d: int) -> bool:
         return 0 <= d <= self.k
 
@@ -61,13 +69,6 @@ class Params:
     @property
     def one(self) -> "FieldElem":
         return FieldElem(self, 0, 1, 1)
-
-    @property
-    def interval_bound(self) -> "FieldElem":
-        """m/(beta-1): beta-k for odd parity, 2 for even parity."""
-        if self.parity == ODD:
-            return FieldElem(self, 1, -self.k, 1)
-        return FieldElem(self, 0, 2, 1)
 
     def from_int(self, n: int) -> "FieldElem":
         return FieldElem(self, 0, n, 1)
@@ -153,7 +154,7 @@ class FieldElem:
     # -- ring operations -------------------------------------------------
 
     def _check_same(self, other: "FieldElem") -> None:
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise DomainError("operands belong to different systems")
 
     def __add__(self, other):
@@ -227,9 +228,14 @@ class FieldElem:
         return self.p == 0 and self.q == 0
 
     def compare(self, other) -> int:
+        """Sign of self - other, an element or an int: the sign of the
+        cross-multiplied numerator (p1*r2 - p2*r1)*beta + (q1*r2 - q2*r1),
+        since both denominators are positive; no element is built."""
         if isinstance(other, int):
-            other = self.params.from_int(other)
-        return (self - other).sign()
+            return sign_pq(self.p, self.q - other * self.r, self.params)
+        self._check_same(other)
+        r1, r2 = self.r, other.r
+        return sign_pq(self.p * r2 - other.p * r1, self.q * r2 - other.q * r1, self.params)
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from functools import cache, cmp_to_key
 
@@ -140,9 +141,19 @@ def depth_list(text: str) -> list[int]:
     return depths
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative fraction such as -1/2 as a
+    positional value, as argparse already reads -1, instead of as an
+    unknown option; its subcommand parsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 @cache  # parse_args leaves the parser unchanged, so in-process callers share one
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="goldenbeta",
         description="Exact expansion analysis in generalized golden ratio bases.",
     )

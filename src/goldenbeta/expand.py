@@ -20,8 +20,10 @@ Every query walks the same graph: the number of valid prefixes at a depth
 is the number of paths of that length out of x, a dynamic program over the
 ids; listings and branch witnesses are the first prefixes of one
 lexicographic walk (each remainder in the interval admits a digit, so the
-graph has no dead ends and the walk may stop early); and ``synth_finite``
-is a breadth-first search from x to the state 0.
+graph has no dead ends and the walk may stop early), which steps digit by
+digit only above the last ``_TAIL`` levels and below them joins each state's
+``_TAIL``-digit tails, listed once per walk, onto the path that reached it;
+and ``synth_finite`` is a breadth-first search from x to the state 0.
 
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
@@ -78,6 +80,8 @@ NODE_BUDGET = 2_000_000
 TERM_BUDGET = 20_000
 # Most remainder-graph states the cache keeps between calls, over all graphs.
 GRAPH_STATE_BUDGET = 10_000
+# Largest trial divisor ``classify`` tries while factoring a denominator.
+FACTOR_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -209,30 +213,53 @@ def _graph(x: FieldElem, params: Params) -> tuple[_Graph, int]:
     return g, root
 
 
+# How many last digits ``_walk`` emits at once.  It memoises the tails of this
+# one length and drops the shorter levels that build them, so that a walk
+# holds few tuples at once.
+_TAIL = 4
+
+
+def _tails(g: _Graph, i: int, n: int) -> list[tuple[int, ...]]:
+    """The n-digit words out of state i, in lexicographic order, built one
+    level at a time."""
+    edges = g.edges
+    level: list[tuple[tuple[int, ...], int]] = [((), i)]
+    for _ in range(n):
+        level = [(w + (e,), j) for w, s in level for e, j in edges[s] or g.branch(s)]
+    return [w for w, _ in level]
+
+
 def _walk(g: _Graph, root: int, depth: int, limit: int) -> list[tuple[int, ...]]:
     """The first ``limit`` valid prefixes of length ``depth`` out of state
-    ``root``, in lexicographic order: a depth-first walk with one digit path
-    and a stack of edge iterators (explicit, because witness depths pass the
-    recursion limit); each parent of leaves emits its leaves at once."""
-    if depth == 0:
-        return [()][:limit]
-    if depth == 1:
-        return [(e,) for e, _ in g.branch(root)][:limit]
+    ``root``, in lexicographic order.  A depth-first walk with one digit
+    path and a stack of edge iterators (explicit, because witness depths
+    pass the recursion limit) goes down to depth - ``_TAIL``; each state
+    it reaches there emits its subtree at once, as the path joined with
+    each of that state's ``_TAIL``-digit tails, memoised for the call and
+    sliced to what ``limit`` still allows.  A depth up to ``_TAIL`` reads
+    the root's tails directly."""
+    base = depth - _TAIL
+    if base <= 0:
+        return _tails(g, root, depth)[:limit]
     edges = g.edges
+    memo: dict[int, list[tuple[int, ...]]] = {}
     out: list[tuple[int, ...]] = []
     path: list[int] = []
     stack = [iter(g.branch(root))]
     while stack:
         for e, j in stack[-1]:
             path.append(e)
-            kids = edges[j] or g.branch(j)
-            if len(path) < depth - 1:
-                stack.append(iter(kids))
+            if len(path) < base:
+                stack.append(iter(edges[j] or g.branch(j)))
                 break
-            out += [(*path, d) for d, _ in kids]
+            tails = memo.get(j)
+            if tails is None:
+                tails = memo[j] = _tails(g, j, _TAIL)
+            pt = tuple(path)
+            out += [pt + t for t in tails[:limit - len(out)]]
             path.pop()
             if len(out) >= limit:
-                return out[:limit]
+                return out
         else:
             stack.pop()
             if path:
@@ -251,8 +278,7 @@ def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
     """The valid prefixes of x up to ``depth``: the number at every depth,
     counted as paths over the remainder graph, and the graph to list them."""
     _check_depth(depth)
-    if x.sign() < 0 or x > params.interval_bound:
-        raise DomainError("x outside the expansion interval")
+    _refuse_outside(x, params)
     g, root = _graph(x, params)
     edges = g.edges
     layer = {root: 1}  # paths of the current length, by end state
@@ -289,7 +315,7 @@ def synth_finite(x: FieldElem, params: Params) -> DigitWord:
     """Finite word evaluating exactly to x: the lexicographically first of
     the shortest paths from x to the state 0, by breadth-first search over
     x's remainder graph (finite, so the search always halts)."""
-    _refuse_nonmember(x)
+    _refuse_nonmember(x, params)
     g, root = _graph(x, params)
     edges = g.edges
     seen = {root}
@@ -382,7 +408,13 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
     return acc
 
 
-def _refuse_nonmember(x: FieldElem) -> None:
+def _refuse_outside(x: FieldElem, params: Params) -> None:
+    if x.sign() < 0 or x > params.interval_bound:
+        raise DomainError("x outside the expansion interval")
+
+
+def _refuse_nonmember(x: FieldElem, params: Params) -> None:
+    _refuse_outside(x, params)
     if fe_membership(x) not in (IN_S, IN_F):
         raise DomainError("x has no finite expansion; synthesis refused")
 
@@ -390,7 +422,7 @@ def _refuse_nonmember(x: FieldElem) -> None:
 def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
     """Like ``synth_finite`` but through the constructive F-sequence route,
     falling back to the search when the construction gives up."""
-    _refuse_nonmember(x)
+    _refuse_nonmember(x, params)
     w = construct_route(x, params)
     if w is not None:
         return w
@@ -400,13 +432,13 @@ def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
 
 
 def classify(x: FieldElem, params: Params) -> Classification:
-    bound = params.interval_bound
     s = x.sign()
-    if s < 0 or x > bound:
+    top = x.compare(params.interval_bound)
+    if s < 0 or top > 0:
         raise DomainError("x outside the closed expansion interval")
     if s == 0:
         return Classification(UNIQUE_ENDPOINT, "0")
-    if (x - bound).is_zero():
+    if top == 0:
         return Classification(UNIQUE_ENDPOINT, "m")
     if fe_membership(x) in (IN_S, IN_F):
         return Classification(COUNTABLY_INFINITE, synth_finite(x, params))
@@ -414,6 +446,8 @@ def classify(x: FieldElem, params: Params) -> Classification:
 
 
 def _offending_prime(r: int, base: int) -> int:
+    """The least prime of r that does not divide base, by trial division
+    with divisors up to ``FACTOR_BUDGET``."""
     n = r
     d = 2
     while d * d <= n:
@@ -422,8 +456,11 @@ def _offending_prime(r: int, base: int) -> int:
                 return d
             while n % d == 0:
                 n //= d
-        else:
+        elif d < FACTOR_BUDGET:
             d += 1
+        else:
+            raise DomainError(f"no prime of the denominator {r} outside {base} found by "
+                              f"trial division up to the factoring budget of {FACTOR_BUDGET}")
     if not (n > 1 and base % n != 0):
         raise AssertionError(f"denominator {r} has no prime outside {base}")
     return n
@@ -439,8 +476,7 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
     _check_depth(depth)
     if budget < 0:
         raise DomainError("budget must be nonnegative")
-    if x.sign() < 0 or x > params.interval_bound:
-        raise DomainError("x outside the expansion interval")
+    _refuse_outside(x, params)
     if fe_membership(x) in (IN_S, IN_F):
         raise DomainError("branch witnesses are for points without finite expansions")
     target = min(budget, 2 ** (depth // 3))

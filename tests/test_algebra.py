@@ -242,3 +242,45 @@ def test_floor_pq_examples():
     assert floor_pq(3, 1, 4, P1) == 2      # (3*beta+1)/4 = 2.29...
     assert floor_pq(-3, 1, 4, P1) == -2
     assert floor_pq(0, -7, 2, E1) == -4
+
+
+def subtract_sign(a, b):
+    """FieldElem.compare as it was: the sign of a built difference."""
+    if isinstance(b, int):
+        b = a.params.from_int(b)
+    return (a - b).sign()
+
+
+params_k1234 = st.builds(make_params, st.integers(1, 4), st.sampled_from([ODD, EVEN]))
+
+
+@given(params_k1234, fe_triples, fe_triples, st.integers(-4, 4), st.integers(1, 4),
+       st.integers(-60, 60))
+@settings(max_examples=500)
+def test_compare_matches_difference_sign(params, ta, tb, n, scale, i):
+    # the cross-product sign against the sign of a - b, for arbitrary pairs,
+    # equal values written over a scaled denominator, the endpoints 0 and
+    # m/(beta-1), and int operands
+    a, b = FieldElem(params, *ta), FieldElem(params, *tb)
+    twin = FieldElem(params, a.p * scale, a.q * scale, a.r * scale)
+    others = [b, a, twin, params.zero, params.interval_bound, n, i, a.q // a.r]
+    for other in others:
+        assert a.compare(other) == subtract_sign(a, other), other
+        if not isinstance(other, int):
+            assert other.compare(a) == subtract_sign(other, a)
+    assert a.compare(twin) == 0
+    for end in (params.zero, params.interval_bound):
+        assert end.compare(end) == 0 and end.compare(b) == subtract_sign(end, b)
+
+
+def test_compare_refuses_other_system():
+    with pytest.raises(DomainError):
+        P1.one.compare(P2.one)
+    with pytest.raises(DomainError):
+        P1.one < E1.one
+
+
+def test_interval_bound_built_once():
+    for params in (P1, P2, E1):
+        assert params.interval_bound is params.interval_bound
+    assert make_params(1, ODD).interval_bound == P1.interval_bound

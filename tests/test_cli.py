@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,15 +125,56 @@ def test_domain_error_exit(capsys):
     (["rewrite", "reduce", "0.3,(0,3)*"], 3),
     (["rewrite", "add", "0.1", "0.(1)*"], 3),
     (["census", "--den-bound", "200", "--num-bound", "200", "--depths", "6"], 3),
+    (["classify", "-1/2"], 3),
+    (["enumerate", "-1/2"], 3),
+    (["synth", "-3/4"], 3),
+    (["classify", "--k", "-1", "1/2"], 3),
+    (["classify", "1/1000000000000000003"], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
         "enumerate-over-depth-budget", "census-over-depth-budget",
-        "rewrite-reduce-periodic", "rewrite-add-periodic", "census-over-window-budget"])
+        "rewrite-reduce-periodic", "rewrite-add-periodic", "census-over-window-budget",
+        "classify-negative-fraction", "enumerate-negative-fraction",
+        "synth-negative-fraction", "negative-k", "classify-over-factoring-budget"])
 def test_bad_input_exit_without_traceback(argv, code):
+    t0 = time.perf_counter()
     proc = run_process(*argv)
+    assert time.perf_counter() - t0 < 20  # every input's work is capped by a budget
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("argv, dashed", [
+    (["classify", "-1/2"], ["classify", "--", "-1/2"]),
+    (["enumerate", "-1/2"], ["enumerate", "--", "-1/2"]),
+    (["synth", "-3/4"], ["synth", "--", "-3/4"]),
+    (["classify", "-1/2", "--k", "2"], ["classify", "--k", "2", "--", "-1/2"]),
+])
+def test_negative_literal_is_a_value(argv, dashed, capsys):
+    # a negative fraction is the point, as after "--", not an unknown option
+    assert main(argv) == 3
+    plain = capsys.readouterr()
+    assert main(dashed) == 3
+    assert capsys.readouterr() == plain
+    assert plain.out == ""
+    assert len(plain.err.splitlines()) == 1 and plain.err.startswith("error: x outside ")
+
+
+def test_factoring_budget(monkeypatch, capsys):
+    # 53 * 59 has no prime up to 52, and trial division would pass 52 before
+    # its square root; 2 * 59 leaves the cofactor 59, prime below 52**2
+    monkeypatch.setattr(goldenbeta.expand, "FACTOR_BUDGET", 53)
+    assert goldenbeta.expand._offending_prime(53 * 59, 2) == 53
+    monkeypatch.setattr(goldenbeta.expand, "FACTOR_BUDGET", 52)
+    with pytest.raises(DomainError, match="factoring budget of 52"):
+        goldenbeta.expand._offending_prime(53 * 59, 2)
+    assert goldenbeta.expand._offending_prime(2 * 59, 2) == 59
+    assert goldenbeta.expand._offending_prime(3 * 53 * 59, 2) == 3
+    assert main(["classify", f"1/{53 * 59}"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: no prime of the denominator {53 * 59} outside 2 found by trial "
+        "division up to the factoring budget of 52"]
 
 
 def test_census_window_budget(monkeypatch, capsys):

@@ -395,6 +395,53 @@ def test_witnesses_match_reference(point):
     assert ws == [pfx for pfx, _ in levels[-1][:16]]
 
 
+def ref_walk(g, root, depth, limit):
+    """expand._walk one digit at a time: a depth-first walk down to depth - 1
+    whose parents of leaves emit their leaves at once."""
+    if depth == 0:
+        return [()][:limit]
+    if depth == 1:
+        return [(e,) for e, _ in g.branch(root)][:limit]
+    edges = g.edges
+    out = []
+    path = []
+    stack = [iter(g.branch(root))]
+    while stack:
+        for e, j in stack[-1]:
+            path.append(e)
+            kids = edges[j] or g.branch(j)
+            if len(path) < depth - 1:
+                stack.append(iter(kids))
+                break
+            out += [(*path, d) for d, _ in kids]
+            path.pop()
+            if len(out) >= limit:
+                return out[:limit]
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(points(members=True), points(members=False)))
+def test_walk_matches_reference(point):
+    # the tail-batched walk against the digit-at-a-time walk, on both sides of
+    # the tail length and at witness depth, for limits that cut a batch of
+    # tails, one batch, several, and none
+    x, params = point
+    tree = enumerate_prefixes(x, 24, params)
+    for depth in (*range(expand._TAIL + 4), 24):
+        n = tree.count_at(depth)
+        for limit in (1, 5, 256, n):
+            if limit > 2 ** 12:
+                continue  # a continuum point has 2**24 prefixes at depth 24
+            got = expand._walk(tree.graph, tree.root, depth, limit)
+            assert got == ref_walk(tree.graph, tree.root, depth, limit), (depth, limit)
+            assert len(got) == min(limit, n)
+
+
 def loop_step(p, q, r, params):
     """expand._step as m+1 sign trials, one per digit."""
     p, q = times_beta(p, q, params)
