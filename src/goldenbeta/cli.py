@@ -4,9 +4,12 @@ census, verify.
 All numbers are field literals like ``3/4`` or ``(1+1*b)/6``; words use the
 grammar ``INT.d1,d2,...`` with an optional ``(p1,p2)*`` periodic tail.
 Output is JSON (CSV for census on request), written to stdout or --out,
-and is byte-deterministic for fixed flags and seed.
+and is byte-deterministic for fixed flags and seed: the JSON is exactly
+what the standard ``json`` module writes with ``indent=2``, followed by a
+newline.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+--out path that cannot be written), 3 domain error.
 """
 
 from __future__ import annotations
@@ -51,8 +54,35 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+_encode = json.JSONEncoder().encode  # C-accelerated when it has no indent
+
+
+def _json(obj, ind: str = "\n") -> str:
+    """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
+    trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
+    newline and indent of the line that holds ``obj``.  json's own encoder
+    drops to pure Python whenever an indent is set, and a prefix listing is
+    mostly int lists, which are joined here in one pass (a bool list takes
+    the general path, because its type set is not ``{int}``)."""
+    inner = ind + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_encode(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    return _encode(obj)
+
+
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit(_json(obj) + "\n", out_path)
 
 
 def _certificate_json(c: expand.Classification):
@@ -210,7 +240,7 @@ def _run(args) -> int:
     if args.command == "enumerate":
         x = parse_field(args.x, params)
         tree = expand.enumerate_prefixes(x, args.depth, params)
-        prefixes = [list(p) for p in tree.prefixes_at()]
+        prefixes = tree.prefixes_at()
         result = {"depth": args.depth, "count": len(prefixes), "prefixes": prefixes}
         _emit_json(_payload(params, args.x, result), args.out)
         return 0
@@ -266,6 +296,10 @@ def main(argv=None) -> int:
     except (DomainError, ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # only _emit does I/O
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

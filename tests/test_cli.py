@@ -8,11 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenbeta
 from goldenbeta.algebra import ODD, EVEN, DomainError, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
-from goldenbeta.cli import census_elements, census_sweep, main
+from goldenbeta.cli import _json, census_elements, main
 
 P1 = make_params(1, ODD)
 
@@ -130,12 +132,15 @@ def test_domain_error_exit(capsys):
     (["synth", "-3/4"], 3),
     (["classify", "--k", "-1", "1/2"], 3),
     (["classify", "1/1000000000000000003"], 3),
+    (["classify", "1/3", "--out", "/nonexistent/dir/x.json"], 2),
+    (["classify", "1/3", "--out", "."], 2),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
         "enumerate-over-depth-budget", "census-over-depth-budget",
         "rewrite-reduce-periodic", "rewrite-add-periodic", "census-over-window-budget",
         "classify-negative-fraction", "enumerate-negative-fraction",
-        "synth-negative-fraction", "negative-k", "classify-over-factoring-budget"])
+        "synth-negative-fraction", "negative-k", "classify-over-factoring-budget",
+        "out-missing-directory", "out-is-directory"])
 def test_bad_input_exit_without_traceback(argv, code):
     t0 = time.perf_counter()
     proc = run_process(*argv)
@@ -282,11 +287,9 @@ def test_census_csv(capsys):
     assert len(lines) > 1
 
 
-def test_census_thread_determinism():
-    params = make_params(1, ODD)
-    a = census_sweep(params, 4, 6, [6, 10])
-    b = census_sweep(params, 4, 6, [6, 10])
-    assert json.dumps(a) == json.dumps(b)
+def test_census_determinism(capsys):
+    argv = ["census", "--den-bound", "4", "--num-bound", "6", "--depths", "6,10"]
+    assert run(capsys, *argv) == run(capsys, *argv)
 
 
 def test_census_elements_canonical():
@@ -303,3 +306,39 @@ def test_out_flag(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     obj = json.loads(path.read_text())
     assert obj["result"] == "CountablyInfinite"
+    assert main(["classify", "1", "--out", str(tmp_path)]) == 2  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+# keys and strings that need escaping: quotes, backslashes, control
+# characters and non-ASCII, which json writes as \uXXXX
+json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€𝔟'), st.characters()))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(-10 ** 40, 10 ** 40), st.floats(), json_text)
+json_trees = st.recursive(json_scalars, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(json_text, kids),
+    st.lists(st.one_of(st.integers(), st.booleans())),
+    st.lists(st.integers()).map(tuple)), max_leaves=25)
+
+
+@given(json_trees)
+@settings(max_examples=200)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "(1+1*b)/6"], ["classify", "1", "--k", "2"],
+    ["enumerate", "1/3", "--depth", "9"], ["enumerate", "(1+1*b)/6", "--depth", "0"],
+    ["ones", "--depth", "12"], ["synth", "1/2", "--route", "construct"],
+    ["rewrite", "carry", "0.3,(0,3)*"], ["rewrite", "add", "0.2", "0.2"],
+    ["census", "--depths", "6,12"], ["census", "--num-bound", "0"],
+    ["verify", "--level", "fast"],
+], ids=lambda argv: " ".join(argv))
+def test_stdout_is_json_dumps_indent_2(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
