@@ -13,7 +13,7 @@ touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 ODD = "odd"
@@ -39,15 +39,18 @@ class Params:
 
     k: int
     parity: str
-    m: int
-    D: int | None
+    m: int = field(init=False)
+    D: int | None = field(init=False)
 
     def __post_init__(self):
+        odd = self.parity == ODD
+        object.__setattr__(self, "m", 2 * self.k + 1 if odd else 2 * self.k)
+        object.__setattr__(self, "D", self.k * self.k + 6 * self.k + 5 if odd else None)
         # interval_bound, m/(beta-1): beta-k for odd parity, 2 for even
         # parity.  Built once, as the last attribute set at construction: a
         # cached_property would write it later through the instance dict,
         # which on CPython makes every later attribute read on it slower.
-        top = FieldElem(self, 1, -self.k, 1) if self.parity == ODD else FieldElem(self, 0, 2, 1)
+        top = FieldElem(self, 1, -self.k, 1) if odd else FieldElem(self, 0, 2, 1)
         object.__setattr__(self, "interval_bound", top)
 
     def in_small(self, d: int) -> bool:
@@ -80,10 +83,8 @@ class Params:
 def make_params(k: int, parity: str) -> Params:
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
-    if parity == ODD:
-        return Params(k=k, parity=ODD, m=2 * k + 1, D=k * k + 6 * k + 5)
-    if parity == EVEN:
-        return Params(k=k, parity=EVEN, m=2 * k, D=None)
+    if parity in (ODD, EVEN):
+        return Params(k, parity)
     raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
@@ -275,20 +276,23 @@ def fe_membership(x: FieldElem) -> str:
     params = x.params
     if x.sign() <= 0 or x >= params.interval_bound:
         raise DomainError("membership is defined on the open expansion interval")
-    member = _denominator_supported(x.r, params.k + 1)
+    member = split_denominator(x.r, params.k + 1)[1] == 1
     if params.parity == ODD:
         return IN_S if member else NOT_IN_S
     return IN_F if member else NOT_IN_F
 
 
-def _denominator_supported(r: int, base: int) -> bool:
-    g = r
+def split_denominator(r: int, base: int) -> tuple[int, int]:
+    """(n, c) with c the part of r coprime to base and n the least exponent
+    with r/c dividing base^n: the number of times gcd(r, base) is stripped
+    before it is 1."""
+    n, c = 0, r
+    g = gcd(c, base)
     while g > 1:
-        d = gcd(g, base)
-        if d == 1:
-            return False
-        g //= d
-    return True
+        c //= g
+        n += 1
+        g = gcd(c, base)
+    return n, c
 
 
 # -- text literals -------------------------------------------------------

@@ -45,6 +45,7 @@ from .algebra import (
     Params,
     fe_membership,
     floor_pq,
+    split_denominator,
     times_beta,
 )
 from .fseq import decompose_F, f_seq
@@ -360,13 +361,10 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
         return None
     k = params.k
     k1 = k + 1
-    n, power = 0, 1
-    while power % x.r != 0:
-        power *= k1
-        n += 1
-        if n > 64:
-            return None  # denominator not supported on k+1
-    scale = power // x.r
+    n, c = split_denominator(x.r, k1)
+    if c != 1 or n > 64:
+        return None  # denominator not supported on k+1
+    scale = k1 ** n // x.r
     p, q = x.p * scale, x.q * scale
     coeffs = decompose_F(k, p).coeffs
     seq = f_seq(k, len(coeffs) + 2)
@@ -403,7 +401,7 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
             acc = rewrite.borrow_T_minus(acc, params)
         except DomainError:
             return None
-    if not (word_value(acc, params) - x).is_zero():
+    if word_value(acc, params) != x:
         raise AssertionError(f"constructive route lost the value of {x!r}")
     return acc
 
@@ -446,23 +444,19 @@ def classify(x: FieldElem, params: Params) -> Classification:
 
 
 def _offending_prime(r: int, base: int) -> int:
-    """The least prime of r that does not divide base, by trial division
-    with divisors up to ``FACTOR_BUDGET``."""
-    n = r
+    """The least prime of r that does not divide base: trial division, with
+    divisors up to ``FACTOR_BUDGET``, of the part of r coprime to base."""
+    n = split_denominator(r, base)[1]
+    if n == 1:
+        raise AssertionError(f"denominator {r} has no prime outside {base}")
     d = 2
     while d * d <= n:
         if n % d == 0:
-            if base % d != 0:
-                return d
-            while n % d == 0:
-                n //= d
-        elif d < FACTOR_BUDGET:
-            d += 1
-        else:
+            return d
+        if d >= FACTOR_BUDGET:
             raise DomainError(f"no prime of the denominator {r} outside {base} found by "
                               f"trial division up to the factoring budget of {FACTOR_BUDGET}")
-    if not (n > 1 and base % n != 0):
-        raise AssertionError(f"denominator {r} has no prime outside {base}")
+        d += 1
     return n
 
 

@@ -23,7 +23,8 @@ from .words import (
     EvPeriodicWord,
     Word,
     ind,
-    word_tail,
+    pre_period,
+    split_at,
     word_value,
 )
 
@@ -108,22 +109,19 @@ def _trade(w: Word, params: Params, s: int) -> Word:
     k = params.k
     if w.int_part != int_part:
         raise DomainError(f"{rule} expects integer part {int_part}")
-    finite = isinstance(w, DigitWord)
-    b = _at(w.digits, 0) if finite else w.digit_at(1)
+    pre, period = pre_period(w)
+    (b,), period = split_at(pre, period, 1)
+    pre = pre[1:]
     if not getattr(params, f"in_{digit_class}")(b):
         raise DomainError(f"{rule} needs a {digit_class} first digit, got {b}")
-    tail = word_tail(w, 2)
-    v = ind(sign, tail, params)
+    v = ind(sign, (pre, period), params)
     head = b - s * (k + 1 if v == 1 else k + 2)
     if not 0 <= head <= params.m:
         raise DomainError(f"{rule} needs a first digit in {first_range}, got {b}")
-    pre, period = (tail, (0,)) if finite else tail
     # an even length keeps the period aligned with the infinite alternation
     n = len(pre) + len(pre) % 2 if v == IND_INF else max(v, len(pre))
-    digits = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
-              for i in range(n)]
-    shift = (n - len(pre)) % len(period)
-    period = period[shift:] + period[:shift]
+    digits, period = split_at(pre, period, n)
+    digits = list(digits)
     if v == IND_INF:
         digits = _alternate(digits, s)
         # a period with an odd length would repeat a digit at both parities,
@@ -133,7 +131,7 @@ def _trade(w: Word, params: Params, s: int) -> Word:
         alternating = max(v - 2, 0)
         digits[:alternating] = _alternate(digits[:alternating], s)
         digits[v - 1] += (-1) ** v * s * (k + 1)
-    if finite:
+    if isinstance(w, DigitWord):
         return DigitWord(int_part + s, (head, *digits))
     return EvPeriodicWord(int_part + s, (head, *digits), period)
 
@@ -328,6 +326,6 @@ def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
             out = _UNARY_RULES[rule](inputs[0], params)
             steps.append((rule, 1))
     value = word_value(out, params)
-    if rule in VALUE_PRESERVING_RULES and not (word_value(inputs[0], params) - value).is_zero():
+    if rule in VALUE_PRESERVING_RULES and word_value(inputs[0], params) != value:
         raise AssertionError(f"rule {rule} changed the value of {inputs[0]!r}")
     return RewriteTrace(rule, tuple(inputs), out, tuple(steps), value)

@@ -47,10 +47,6 @@ def _with_first(w: Word, first: int, int_part: int) -> Word:
     return EvPeriodicWord(int_part, (first, *w.preperiod), w.period)
 
 
-def _values_equal(a: FieldElem, b: FieldElem) -> bool:
-    return (a - b).is_zero()
-
-
 # -- individual checks -----------------------------------------------------
 # each returns (passed, detail)
 
@@ -99,7 +95,7 @@ def check_one_family(rng, depth=8):
         if family != set(tree.prefixes_at()):
             return False, f"family/tree mismatch at k={k}, depth={depth}"
         for w in expand.expansions_of_one(depth, params):
-            if not _values_equal(word_value(w, params), params.one):
+            if word_value(w, params) != params.one:
                 return False, f"family member not equal to 1 at k={k}"
     return True, f"k<=3, depth={depth}"
 
@@ -138,14 +134,14 @@ def check_value_preservation(rng, samples=1000):
                 out = rewrite.add_words(a, b, params)
                 want = word_value(a, params) + word_value(b, params)
                 got = word_value(out, params)
-                if not (_values_equal(want, got) and out.is_valid(params)):
+                if not (want == got and out.is_valid(params)):
                     return False, f"add mismatch on {format_word(a)} + {format_word(b)}"
                 continue
             elif which == 6:
                 w = _random_finite(rng, params)
                 out = rewrite.div_word_by_k1(w, params)
                 want = word_value(w, params) / (k + 1)
-                if not _values_equal(want, word_value(out, params)):
+                if want != word_value(out, params):
                     return False, f"div mismatch on {format_word(w)}"
                 continue
             else:
@@ -156,13 +152,13 @@ def check_value_preservation(rng, samples=1000):
                         break
                 out = rewrite.mul_beta_word(w, params)
                 want = word_value(w, params).mul_beta()
-                if not (_values_equal(want, word_value(out, params))
+                if not (want == word_value(out, params)
                         and out.is_valid(params)):
                     return False, f"mul_beta mismatch on {format_word(w)}"
                 continue
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             return False, f"exception in trial {trial}: {exc!r}"
-        if not _values_equal(word_value(w, params), word_value(out, params)):
+        if word_value(w, params) != word_value(out, params):
             return False, f"value changed: {format_word(w)} -> {format_word(out)}"
     return True, f"{samples} randomized trials"
 
@@ -195,7 +191,7 @@ def check_member_classification(rng, bound_pq=20, n_max=4, max_len=40):
         w = c.certificate
         if len(w.digits) > max_len:
             return False, f"certificate too long for {format_field(x)}"
-        if not _values_equal(word_value(w, params), x):
+        if word_value(w, params) != x:
             return False, f"certificate does not round-trip for {format_field(x)}"
     return True, f"{len(members)} members, certificates <= {max_len} digits"
 
@@ -252,7 +248,7 @@ def check_cross_route(rng, count=100):
             continue
         v1 = word_value(w, params)
         v2 = word_value(expand.synth_finite(x, params), params)
-        if not _values_equal(v1, v2):
+        if v1 != v2:
             return False, f"route disagreement at {format_field(x)}"
         agreed += 1
     if agreed < count:
@@ -273,7 +269,7 @@ def check_even_parity(rng, n_max=6):
                 c = expand.classify(x, params)
                 if c.verdict != expand.COUNTABLY_INFINITE:
                     return False, f"p/(k+1)^n misclassified: {p}/{den}, k={k}"
-                if not _values_equal(word_value(c.certificate, params), x):
+                if word_value(c.certificate, params) != x:
                     return False, f"certificate mismatch at {p}/{den}, k={k}"
     params = make_params(1, EVEN)
     for num in (1, 2, 4, 5):

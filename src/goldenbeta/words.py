@@ -7,8 +7,10 @@ period, shortest preperiod, all-zero period collapsed to (0,)).  Validity
 (all digits in {0..m}) is a checkable predicate rather than a separate type,
 so intermediate rewriting states may hold any integer digits.
 
-``word_value`` evaluates every word, finite ones read with the period (0,),
-as (H(pre+per) - H(pre)) / (beta^(n+L) - beta^n): H is a Horner pass over
+Every reader sees a word one way: ``pre_period`` gives its (preperiod,
+period) pair, a finite word read with the period (0,), and ``split_at`` reads
+that pair past its stored digits.  ``word_value`` evaluates it as
+(H(pre+per) - H(pre)) / (beta^(n+L) - beta^n): H is a Horner pass over
 integer pairs through ``times_beta``, and only the quotient is a FieldElem.
 """
 
@@ -74,9 +76,6 @@ class EvPeriodicWord:
             0 <= d <= params.m for d in self.preperiod + self.period
         )
 
-    def is_finite(self) -> bool:
-        return self.period == (0,)
-
     def digit_at(self, i: int) -> int:
         """Fractional digit at 1-based position i."""
         if i <= len(self.preperiod):
@@ -84,10 +83,27 @@ class EvPeriodicWord:
         return self.period[(i - len(self.preperiod) - 1) % len(self.period)]
 
     def prefix(self, depth: int) -> tuple[int, ...]:
-        return tuple(self.digit_at(i) for i in range(1, depth + 1))
+        return split_at(self.preperiod, self.period, depth)[0]
 
 
 Word = DigitWord | EvPeriodicWord
+
+
+def pre_period(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (preperiod, period) pair of w; a finite word has the period (0,)."""
+    if isinstance(w, DigitWord):
+        return w.digits, (0,)
+    return w.preperiod, w.period
+
+
+def split_at(pre: tuple[int, ...], per: tuple[int, ...],
+             n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first n digits of pre followed by per repeated, and per rotated
+    to start at digit n+1 (unrotated while n is inside pre)."""
+    if n <= len(pre):
+        return pre[:n], per
+    q, r = divmod(n - len(pre), len(per))
+    return pre + per * q + per[:r], per[r:] + per[:r]
 
 
 def _primitive_period(per: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,14 +148,12 @@ def _check_digits(digits: tuple[int, ...], params: Params, text: str) -> None:
 
 
 def format_word(w: Word) -> str:
-    if isinstance(w, EvPeriodicWord) and not w.is_finite():
-        pre = ",".join(str(d) for d in w.preperiod)
-        per = ",".join(str(d) for d in w.period)
-        sep = "," if w.preperiod else ""
-        return f"{w.int_part}.{pre}{sep}({per})*"
-    if isinstance(w, EvPeriodicWord):
-        w = DigitWord(w.int_part, w.preperiod)
-    return f"{w.int_part}." + ",".join(str(d) for d in w.digits)
+    pre, per = pre_period(w)
+    text = f"{w.int_part}." + ",".join(map(str, pre))
+    if per == (0,):
+        return text
+    sep = "," if pre else ""
+    return f"{text}{sep}(" + ",".join(map(str, per)) + ")*"
 
 
 # -- evaluation ----------------------------------------------------------
@@ -151,10 +165,7 @@ def word_value(w: Word, params: Params) -> FieldElem:
     beta^(n+L) x = H(pre+per) + t for the same periodic tail t, so
     x = (H(pre+per) - H(pre)) / (beta^(n+L) - beta^n).  A finite word is
     read with the period (0,)."""
-    if isinstance(w, DigitWord):
-        pre, per = w.digits, (0,)
-    else:
-        pre, per = w.preperiod, w.period
+    pre, per = pre_period(w)
     hp, hq, gp, gq = _horner(pre, (0, w.int_part, 0, 1), params)
     Hp, Hq, Gp, Gq = _horner(per, (hp, hq, gp, gq), params)
     return FieldElem(params, Hp - hp, Hq - hq) / FieldElem(params, Gp - gp, Gq - gq)
@@ -177,12 +188,8 @@ def _horner(digits: tuple[int, ...], state: tuple[int, int, int, int],
 def is_B_separated(w: Word, params: Params) -> bool:
     """No two consecutive big digits; for periodic words the junctions
     preperiod/period and period wrap count as consecutive."""
-    if isinstance(w, DigitWord):
-        seq = w.digits
-        return not any(
-            params.in_big(a) and params.in_big(b) for a, b in zip(seq, seq[1:])
-        )
-    seq = w.preperiod + w.period + w.period[:1]
+    pre, per = pre_period(w)
+    seq = split_at(pre, per, len(pre) + len(per) + 1)[0]
     return not any(
         params.in_big(a) and params.in_big(b) for a, b in zip(seq, seq[1:])
     )
@@ -195,55 +202,28 @@ def ind(sign: str, tail, params: Params) -> int | float:
     """First index breaking the alternating small/big (plus) or big/small
     (minus) pattern, or infinity if the alternation never breaks.
 
-    ``tail`` is a finite digit sequence (implicitly continued by zeros) or
-    a (preperiod, period) pair.  For periodic tails the decision is made
-    over the preperiod plus two periods: the pattern has period two, so an
-    alternation unbroken there is unbroken forever.
+    ``tail`` is a finite digit sequence, read with the period (0,), or a
+    (preperiod, period) pair.  Past the preperiod, digits and the pattern
+    repeat together with period lcm(L, 2), which divides 2L, so a scan of
+    the preperiod and two periods decides every case.
     """
     if sign not in (PLUS, MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if isinstance(tail, tuple) and len(tail) == 2 and isinstance(tail[0], (tuple, list)):
-        pre, per = tail
-        horizon = len(pre) + 2 * len(per) + 2
-
-        def digit(i: int) -> int:
-            if i <= len(pre):
-                return pre[i - 1]
-            return per[(i - len(pre) - 1) % len(per)]
-
-        bounded = False
+        pre, per = tuple(tail[0]), tuple(tail[1])
     else:
-        seq = list(tail)
-        horizon = len(seq) + 2
-
-        def digit(i: int) -> int:
-            return seq[i - 1] if i <= len(seq) else 0
-
-        bounded = True
-
-    odd_in_big = sign == MINUS  # expected class of odd positions
-    i = 1
-    while True:
-        x1, x2 = digit(2 * i - 1), digit(2 * i)
-        first_big = params.in_big(x1)
-        second_big = params.in_big(x2)
-        if first_big != odd_in_big:
-            return 2 * i - 1
-        if second_big == odd_in_big:
-            return 2 * i
-        if 2 * i >= horizon and not bounded:
-            return IND_INF
-        i += 1
+        pre, per = tuple(tail), (0,)
+    big = sign == MINUS  # whether the digit at position i should be big
+    for i, d in enumerate(pre + per + per, 1):
+        if params.in_big(d) != big:
+            return i
+        big = not big
+    return IND_INF
 
 
 def word_tail(w: Word, start: int = 1):
     """The digit sequence of w from 1-based position ``start`` on, in the
-    form ``ind`` accepts."""
-    if isinstance(w, DigitWord):
-        return w.digits[start - 1 :]
-    pre = w.preperiod
-    if start <= len(pre) + 1:
-        return (pre[start - 1 :], w.period)
-    shift = (start - len(pre) - 1) % len(w.period)
-    rotated = w.period[shift:] + w.period[:shift]
-    return ((), rotated)
+    form ``ind`` accepts: flat for a finite word, a pair otherwise."""
+    pre, per = pre_period(w)
+    tail = pre[start - 1 :]
+    return tail if isinstance(w, DigitWord) else (tail, split_at(pre, per, start - 1)[1])

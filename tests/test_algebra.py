@@ -1,6 +1,7 @@
 """Exact field arithmetic, ordering, and membership."""
 
 import decimal
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from goldenbeta.algebra import (
     DomainError,
     FieldElem,
     ParameterError,
+    Params,
     fe_cmp,
     fe_membership,
     floor_pq,
@@ -26,6 +28,7 @@ from goldenbeta.algebra import (
     make_params,
     parse_field,
     sign_pq,
+    split_denominator,
 )
 
 P1 = make_params(1, ODD)
@@ -59,6 +62,17 @@ def test_make_params_even():
     assert (E1.beta - 3).is_zero() is False  # beta = k+1 = 2
     assert (E1.beta - 2).is_zero()
     assert (E1.interval_bound - 2).is_zero()
+
+
+def test_params_derive_m_and_D():
+    # only k and parity are settable; m and D follow, and keep their place
+    # in equality and repr
+    assert Params(1, ODD) == P1 and Params(1, EVEN) == E1
+    assert (Params(3, ODD).m, Params(3, ODD).D) == (7, 32)
+    assert (Params(3, EVEN).m, Params(3, EVEN).D) == (6, None)
+    assert repr(P1) == "Params(k=1, parity='odd', m=3, D=12)"
+    with pytest.raises(TypeError):
+        Params(1, ODD, 3, 12)
 
 
 def test_make_params_rejects():
@@ -199,6 +213,15 @@ def test_membership_k2_base3():
     assert fe_membership(FieldElem(p, 0, 1, 9)) == IN_S
     assert fe_membership(FieldElem(p, 0, 1, 2)) == NOT_IN_S
     assert fe_membership(FieldElem(p, 1, -2, 27)) == IN_S
+
+
+@given(st.integers(1, 10 ** 12), st.integers(2, 60))
+@settings(max_examples=300)
+def test_split_denominator(r, base):
+    n, c = split_denominator(r, base)
+    assert r % c == 0 and gcd(c, base) == 1
+    assert base ** n % (r // c) == 0
+    assert n == 0 or base ** (n - 1) % (r // c) != 0
 
 
 def test_parse_format_roundtrip():

@@ -54,6 +54,11 @@ def test_classify_nonmember(capsys):
     assert code == 0
     assert obj["result"] == "Continuum"
     assert obj["certificate"] == {"denominator": 6, "prime": 3}
+    # 1000036000099 = 1000003 * 1000033: one gcd with k+1 = 1000003 leaves
+    # the prime, far below the factoring budget's square
+    code, obj = run_json(capsys, "classify", "1/1000036000099", "--k", "1000002")
+    assert code == 0
+    assert obj["certificate"] == {"denominator": 1000036000099, "prime": 1000033}
 
 
 def test_classify_even(capsys):
@@ -176,6 +181,10 @@ def test_factoring_budget(monkeypatch, capsys):
         goldenbeta.expand._offending_prime(53 * 59, 2)
     assert goldenbeta.expand._offending_prime(2 * 59, 2) == 59
     assert goldenbeta.expand._offending_prime(3 * 53 * 59, 2) == 3
+    # the budget is spent only on the part coprime to the base: with base
+    # 2 * 53 the cofactor 59 is left, where trial division of all of r
+    # would pass 52 first
+    assert goldenbeta.expand._offending_prime(53 * 59, 106) == 59
     assert main(["classify", f"1/{53 * 59}"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"error: no prime of the denominator {53 * 59} outside 2 found by trial "

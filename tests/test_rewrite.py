@@ -346,6 +346,24 @@ def test_trade_matches_reference(case):
     assert _trade_outcome(borrow_T_minus, w, params) == _trade_outcome(ref_borrow_T_minus, w, params)
 
 
+@settings(max_examples=400, deadline=None)
+@given(trade_inputs())
+def test_trade_reads_finite_word_as_period_zero(case):
+    # the digits of a finite word, and the same digits followed by the
+    # period (0,), trade to the same digits or fail alike
+    params, w = case
+    digits = w.digits if isinstance(w, DigitWord) else w.preperiod
+    finite = DigitWord(w.int_part, digits)
+    periodic = EvPeriodicWord(w.int_part, digits, (0,))
+    for fn in (carry_T_plus, borrow_T_minus):
+        a, b = _trade_outcome(fn, finite, params), _trade_outcome(fn, periodic, params)
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert isinstance(a, DigitWord) and b.period == (0,)
+            assert (a.int_part, a.trimmed().digits) == (b.int_part, b.preperiod)
+
+
 # -- reduce_digits ---------------------------------------------------------
 
 def test_reduce_examples():

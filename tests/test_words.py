@@ -18,6 +18,8 @@ from goldenbeta.words import (
     ind,
     is_B_separated,
     parse_word,
+    pre_period,
+    split_at,
     word_tail,
     word_value,
 )
@@ -72,9 +74,10 @@ def test_canonical_period():
     # preperiod tail matching the period rotates into it
     w = EvPeriodicWord(0, (3, 1), (2, 1))
     assert (w.preperiod, w.period) == ((3,), (1, 2))
-    # all-zero period collapses and the word counts as finite
+    # all-zero period collapses to (0,), the period a finite word is read with
     w = EvPeriodicWord(0, (2,), (0, 0))
-    assert w.period == (0,) and w.is_finite()
+    assert w.period == (0,)
+    assert pre_period(w) == pre_period(DigitWord(0, (2,)))
 
 
 def test_digit_at_and_prefix():
@@ -200,3 +203,73 @@ def test_word_value_matches_reference(pw):
     params, w = pw
     got, want = word_value(w, params), ref_word_value(w, params)
     assert (got.p, got.q, got.r) == (want.p, want.q, want.r)
+
+
+def ref_ind(sign, tail, params):
+    """The index function ``ind`` replaced: one digit closure per tail form,
+    an unbounded scan for finite tails and a horizon for periodic ones."""
+    if sign not in (PLUS, MINUS):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    if isinstance(tail, tuple) and len(tail) == 2 and isinstance(tail[0], (tuple, list)):
+        pre, per = tail
+        horizon = len(pre) + 2 * len(per) + 2
+
+        def digit(i: int) -> int:
+            if i <= len(pre):
+                return pre[i - 1]
+            return per[(i - len(pre) - 1) % len(per)]
+
+        bounded = False
+    else:
+        seq = list(tail)
+        horizon = len(seq) + 2
+
+        def digit(i: int) -> int:
+            return seq[i - 1] if i <= len(seq) else 0
+
+        bounded = True
+
+    odd_in_big = sign == MINUS  # expected class of odd positions
+    i = 1
+    while True:
+        x1, x2 = digit(2 * i - 1), digit(2 * i)
+        first_big = params.in_big(x1)
+        second_big = params.in_big(x2)
+        if first_big != odd_in_big:
+            return 2 * i - 1
+        if second_big == odd_in_big:
+            return 2 * i
+        if 2 * i >= horizon and not bounded:
+            return IND_INF
+        i += 1
+
+
+@st.composite
+def tails_with_params(draw):
+    params = make_params(draw(st.integers(1, 4)), draw(st.sampled_from([ODD, EVEN])))
+    digits = st.lists(st.integers(0, params.m), max_size=8)
+    pre = draw(digits)
+    if draw(st.booleans()):
+        return params, tuple(pre) if draw(st.booleans()) else pre
+    per = draw(st.lists(st.integers(0, params.m), min_size=1, max_size=4))
+    return params, (tuple(pre), tuple(per)) if draw(st.booleans()) else (pre, per)
+
+
+@given(tails_with_params(), st.sampled_from([PLUS, MINUS]))
+@settings(max_examples=600)
+def test_ind_matches_reference(pt, sign):
+    params, tail = pt
+    assert ind(sign, tail, params) == ref_ind(sign, tail, params)
+
+
+@given(st.lists(st.integers(0, 9), max_size=6), st.lists(st.integers(0, 9), min_size=1, max_size=4),
+       st.integers(0, 16))
+@settings(max_examples=400)
+def test_split_at_reads_digit_by_digit(pre, per, n):
+    pre, per = tuple(pre), tuple(per)
+    w = EvPeriodicWord(0, pre, per)
+    head, rotated = split_at(pre, per, n)
+    assert head == tuple(w.digit_at(i) for i in range(1, n + 1))
+    # the rotated period is the next L digits once the preperiod is read
+    start = max(n, len(pre))
+    assert rotated == tuple(w.digit_at(start + j) for j in range(1, len(per) + 1))
