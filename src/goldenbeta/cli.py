@@ -6,7 +6,8 @@ grammar ``INT.d1,d2,...`` with an optional ``(p1,p2)*`` periodic tail.
 Output is JSON (CSV for census on request), written to stdout or --out,
 and is byte-deterministic for fixed flags and seed: the JSON is exactly
 what the standard ``json`` module writes with ``indent=2``, followed by a
-newline.
+newline.  The writer formats a prefix listing (int rows of one length)
+through one ``%d`` row template; other shapes take its general path.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out path that cannot be written), 3 domain error.
@@ -21,6 +22,7 @@ import json
 import re
 import sys
 from functools import cache, cmp_to_key
+from itertools import chain
 
 from .algebra import (
     EVEN,
@@ -61,9 +63,11 @@ def _json(obj, ind: str = "\n") -> str:
     """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
     trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
     newline and indent of the line that holds ``obj``.  json's own encoder
-    drops to pure Python whenever an indent is set, and a prefix listing is
-    mostly int lists, which are joined here in one pass (a bool list takes
-    the general path, because its type set is not ``{int}``)."""
+    drops to pure Python whenever an indent is set, so here an int list is
+    joined in one pass, and a list of int rows of one nonzero length (a prefix
+    listing, census's depth/count pairs) maps one ``%d`` row template over its
+    rows, in C.  Ints are of type exactly ``int``: a bool, IntEnum or float
+    inside, ragged or empty rows and dicts take the general, recursive path."""
     inner = ind + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -73,8 +77,14 @@ def _json(obj, ind: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             items = map(int.__repr__, obj)
+        elif (types <= {list, tuple} and set(map(len, obj)) == {len(obj[0])}  # empty rows
+              and set(map(type, chain.from_iterable(obj))) == {int}):  # give set() here
+            row = inner + "  "
+            tmpl = "[" + row + ("," + row).join(["%d"] * len(obj[0])) + inner + "]"
+            items = map(tmpl.__mod__, map(tuple, obj))
         else:
             items = (_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + ind + "]"

@@ -27,7 +27,8 @@ and ``synth_finite`` is a breadth-first search from x to the state 0.
 
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
-witnesses.  No call accepts a depth over ``DEPTH_BUDGET``.
+witnesses.  No call accepts a depth over ``DEPTH_BUDGET``, and no listing
+holds more than ``LISTING_BUDGET`` digits (prefixes times depth).
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class Classification:
     certificate: object  # word, (denominator, offending prime), or endpoint tag
 
 
-# Most prefixes ``prefixes_at`` lists in one call.
-PREFIX_BUDGET = 2 ** 20
+# Most digits (prefixes times depth) ``prefixes_at`` lists in one call: the
+# listing's time and memory, and the CLI's output, grow with both.
+LISTING_BUDGET = 2 ** 23
 # Largest depth any call accepts: the per-depth counts of a continuum point
 # grow linearly in digits, so their memory grows with the square of the depth.
 DEPTH_BUDGET = 4096
@@ -101,9 +103,9 @@ class PrefixTree:
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth
         n = self.count_at(d)
-        if n > PREFIX_BUDGET:
-            raise DomainError(f"more than {PREFIX_BUDGET} prefixes at depth {d}, "
-                              "over the listing budget")
+        if n * d > LISTING_BUDGET:
+            raise DomainError(f"listing at depth {d} is over the listing budget "
+                              f"of {LISTING_BUDGET} digits")
         return _walk(self.graph, self.root, d, n)
 
     def count_at(self, depth: int) -> int:

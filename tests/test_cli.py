@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,25 @@ def test_census_window_budget(monkeypatch, capsys):
     assert census_elements(make_params(1, EVEN), 3, 40) != []  # p = 0: 3 * 1 * 81 triples
 
 
+def test_listing_budget(monkeypatch, capsys):
+    # the budget counts printed digits: n prefixes at depth 9 are 9 * n
+    n = goldenbeta.expand.enumerate_prefixes(parse_field("1/3", P1), 9, P1).count_at(9)
+    monkeypatch.setattr(goldenbeta.expand, "LISTING_BUDGET", 9 * n)
+    code, obj = run_json(capsys, "enumerate", "1/3", "--depth", "9")
+    assert code == 0 and obj["result"]["count"] == n
+    monkeypatch.setattr(goldenbeta.expand, "LISTING_BUDGET", 9 * n - 1)
+    assert main(["enumerate", "1/3", "--depth", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: listing at depth 9 is over the listing "
+                            f"budget of {9 * n - 1} digits\n")
+    # over the real budget: 257,915 prefixes of 35 digits, 4,097 of 4,096 digits
+    monkeypatch.undo()
+    for argv in (["1/3", "--depth", "35"], ["1", "--depth", "4096"]):
+        assert main(["enumerate", *argv]) == 3
+        assert capsys.readouterr().err.startswith("error: listing at depth ")
+
+
 def test_synth_node_budget(monkeypatch, capsys):
     monkeypatch.setattr(goldenbeta.expand, "NODE_BUDGET", 2)
     with pytest.raises(DomainError, match="node budget"):
@@ -339,9 +359,53 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, indent=2)
 
 
+class Digit(IntEnum):
+    ONE = 1
+
+
+# prefix listings, the shape the writer formats through one row template:
+# int rows of one length, as lists or tuples, with ints past 64 bits and
+# negative ones; a spoiled listing has one row holding a bool, an IntEnum
+# member or a float, or one digit more or fewer than the others
+listing_ints = st.one_of(st.integers(), st.integers(-2 ** 100, 2 ** 100))
+
+
+@st.composite
+def listings(draw):
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 30)))
+    row = st.lists(listing_ints, min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=6))
+    spoil = draw(st.sampled_from([None, True, Digit.ONE, 1.5, "ragged"]))
+    if spoil is not None and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        bad = list(rows[i])
+        if spoil == "ragged":
+            bad = bad[1:] if bad and draw(st.booleans()) else bad + [0]
+        else:
+            j = draw(st.integers(0, max(n - 1, 0)))
+            bad[j:j + 1] = [spoil]
+        rows[i] = bad
+    return draw(st.sampled_from([rows, tuple(rows), {"prefixes": rows}]))
+
+
+@given(listings())
+@settings(max_examples=60)
+def test_json_writer_matches_json_dumps_on_listings(obj):
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_listing_edge_cases():
+    for obj in ([[1, True]], [[1, 2], (3, Digit.ONE)], [[]] * 3, [[0], [1, 2]],
+                [(-2 ** 70, 2 ** 70)], [[1.0]]):
+        assert _json(obj) == json.dumps(obj, indent=2)
+    assert _json([[True]]) == "[\n  [\n    true\n  ]\n]"
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "(1+1*b)/6"], ["classify", "1", "--k", "2"],
     ["enumerate", "1/3", "--depth", "9"], ["enumerate", "(1+1*b)/6", "--depth", "0"],
+    ["enumerate", "1/3", "--depth", "6", "--k", "5"],
+    ["enumerate", "1/3", "--depth", "8", "--k", "2", "--parity", "even"],
     ["ones", "--depth", "12"], ["synth", "1/2", "--route", "construct"],
     ["rewrite", "carry", "0.3,(0,3)*"], ["rewrite", "add", "0.2", "0.2"],
     ["census", "--depths", "6,12"], ["census", "--num-bound", "0"],
