@@ -12,18 +12,22 @@ conjugate are both bounded, so each graph is finite.
 There is one graph per denominator, shared across points: ``_graph``
 returns it from a module-level cache, states get integer ids, and a
 state's (digit, state id) edges are resolved once, when it is first
-branched.  The cache is bounded by ``GRAPH_STATE_BUDGET`` states summed
-over its graphs; a lookup evicts the least recently used graphs over that
-bound, so the cache holds at most the bound plus what one query adds.  One
-lock guards the cache and the graphs, which threads may share.
+branched, as is its jump table: its ``_TAIL``-digit words in lexicographic
+order, each with the state it ends in.  The cache is bounded by
+``GRAPH_STATE_BUDGET`` states summed over its graphs, a jump table of n
+words counting as ceil(n/2) states; a lookup evicts the least recently used
+graphs over that bound, so the cache holds at most the bound plus what one
+query adds.  One lock guards the cache and the graphs, which threads may
+share.
 Every query walks the same graph: the number of valid prefixes at a depth
 is the number of paths of that length out of x, a dynamic program over the
 ids; listings and branch witnesses are the first prefixes of one
 lexicographic walk (each remainder in the interval admits a digit, so the
-graph has no dead ends and the walk may stop early), which steps digit by
-digit only above the last ``_TAIL`` levels and below them joins each state's
-``_TAIL``-digit tails, listed once per walk, onto the path that reached it;
-and ``synth_finite`` is a breadth-first search from x to the state 0.
+graph has no dead ends and the walk may stop early), which reads a head of
+depth % ``_TAIL`` digits and then jumps ``_TAIL`` digits at a time, and
+joins the words of each state one jump short of the depth onto the path
+that reached it; and ``synth_finite`` is a breadth-first search from x to
+the state 0.
 
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
@@ -63,6 +67,9 @@ UNIQUE_ENDPOINT = "UniqueEndpoint"
 Children = dict[int, tuple[int, int]]
 # The branching of one graph state: (digit, child state id), ascending.
 Edges = tuple[tuple[int, int], ...]
+# The jump table of one graph state: its ``_TAIL``-digit words in
+# lexicographic order, and the state id each one ends in.
+Jumps = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,9 @@ DEPTH_BUDGET = 4096
 NODE_BUDGET = 2_000_000
 # Most word additions ``construct_route`` makes before giving up.
 TERM_BUDGET = 20_000
-# Most remainder-graph states the cache keeps between calls, over all graphs.
+# Most remainder-graph states the cache keeps between calls, over all graphs,
+# a jump table of n words counting as ceil(n/2) states: a state holds about
+# 260 bytes and a word about 120, so the bound is a few MB.
 GRAPH_STATE_BUDGET = 10_000
 # Largest trial divisor ``classify`` tries while factoring a denominator.
 FACTOR_BUDGET = 10 ** 6
@@ -135,10 +144,10 @@ def _step(p: int, q: int, r: int, params: Params) -> Children:
 
 class _Graph:
     """The remainder graph over one denominator r: state ids by pair, and
-    for each id its edges, ``None`` until the state is first branched.
-    State 0 is the remainder 0, where every finite expansion ends."""
+    for each id its edges and its jump table, each ``None`` until first
+    needed.  State 0 is the remainder 0, where every finite expansion ends."""
 
-    __slots__ = ("params", "r", "ids", "pairs", "edges", "cache")
+    __slots__ = ("params", "r", "ids", "pairs", "edges", "jumps", "cache")
 
     def __init__(self, params: Params, r: int, cache: _Cache):
         self.params = params
@@ -146,6 +155,7 @@ class _Graph:
         self.ids: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.edges: list[Edges | None] = []
+        self.jumps: list[Jumps | None] = []
         self.cache: _Cache | None = cache  # None once evicted
         self.state((0, 0))
 
@@ -157,6 +167,7 @@ class _Graph:
             i = self.ids[pair] = len(self.pairs)
             self.pairs.append(pair)
             self.edges.append(None)
+            self.jumps.append(None)
             if self.cache is not None:
                 self.cache.states += 1
         return i
@@ -169,22 +180,45 @@ class _Graph:
                 out = self.edges[i] = tuple([(e, self.state(y)) for e, y in children.items()])
         return out
 
+    def words(self, i: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+        """The n-digit words out of state i in lexicographic order, each with
+        the state it ends in, built one level at a time."""
+        edges = self.edges
+        level: list[tuple[tuple[int, ...], int]] = [((), i)]
+        for _ in range(n):
+            level = [(w + (e,), j) for w, s in level for e, j in edges[s] or self.branch(s)]
+        return level
+
+    def jump(self, i: int) -> Jumps:
+        """State i's jump table, built on first use and counted in the cache
+        as one state per two words."""
+        words = self.words(i, _TAIL)
+        with _LOCK:
+            out = self.jumps[i]
+            if out is None:  # no other thread built it meanwhile
+                out = self.jumps[i] = tuple(zip(*words))
+                if self.cache is not None:
+                    self.cache.states += (len(words) + 1) // 2
+                    self.cache.words += len(words)
+        return out
+
 
 class _Cache:
     """The shared graphs by (params, denominator), least recently used
-    first, and the number of states they hold."""
+    first, what they count toward the bound, and their jump words."""
 
-    __slots__ = ("graphs", "states")
+    __slots__ = ("graphs", "states", "words")
 
     def __init__(self):
         self.graphs: dict[tuple[Params, int], _Graph] = {}
         self.states = 0
+        self.words = 0
 
 
 _CACHE = _Cache()
 # Guards the cache and its graphs, which threads share: interning a state is
-# a check-then-act.  A resolved edge tuple never changes, so reading one
-# needs no lock.
+# a check-then-act.  A resolved edge tuple or jump table never changes, so
+# reading one needs no lock.
 _LOCK = threading.Lock()
 
 
@@ -203,70 +237,61 @@ def _graph(x: FieldElem, params: Params) -> tuple[_Graph, int]:
         while cache.states > GRAPH_STATE_BUDGET:
             old = graphs.pop(next(iter(graphs)))
             old.cache = None
-            cache.states -= len(old.pairs)
-            log.debug("evicted the remainder graph of r=%d (k=%d, %s): %d states",
-                      old.r, old.params.k, old.params.parity, len(old.pairs))
+            sizes = [len(t[0]) for t in old.jumps if t is not None]
+            cache.states -= len(old.pairs) + sum([(n + 1) // 2 for n in sizes])
+            cache.words -= sum(sizes)
+            log.debug("evicted the remainder graph of r=%d (k=%d, %s): %d states, "
+                      "%d jump words", old.r, old.params.k, old.params.parity,
+                      len(old.pairs), sum(sizes))
         g = graphs.get(key)
         if g is None:
             g = graphs[key] = _Graph(params, r, cache)
             log.debug("created the remainder graph of r=%d (k=%d, %s); "
-                      "the cache holds %d states in %d graphs",
-                      r, params.k, params.parity, cache.states, len(graphs))
+                      "the cache counts %d states toward its bound and holds "
+                      "%d jump words in %d graphs",
+                      r, params.k, params.parity, cache.states, cache.words, len(graphs))
         root = g.state((x.p, x.q))
     return g, root
 
 
-# How many last digits ``_walk`` emits at once.  It memoises the tails of this
-# one length and drops the shorter levels that build them, so that a walk
-# holds few tuples at once.
+# The length of the words in a jump table: ``_walk`` descends this many
+# digits at a time.
 _TAIL = 4
-
-
-def _tails(g: _Graph, i: int, n: int) -> list[tuple[int, ...]]:
-    """The n-digit words out of state i, in lexicographic order, built one
-    level at a time."""
-    edges = g.edges
-    level: list[tuple[tuple[int, ...], int]] = [((), i)]
-    for _ in range(n):
-        level = [(w + (e,), j) for w, s in level for e, j in edges[s] or g.branch(s)]
-    return [w for w, _ in level]
 
 
 def _walk(g: _Graph, root: int, depth: int, limit: int) -> list[tuple[int, ...]]:
     """The first ``limit`` valid prefixes of length ``depth`` out of state
     ``root``, in lexicographic order.  A depth-first walk with one digit
-    path and a stack of edge iterators (explicit, because witness depths
-    pass the recursion limit) goes down to depth - ``_TAIL``; each state
-    it reaches there emits its subtree at once, as the path joined with
-    each of that state's ``_TAIL``-digit tails, memoised for the call and
-    sliced to what ``limit`` still allows.  A depth up to ``_TAIL`` reads
-    the root's tails directly."""
+    path and a stack of word iterators (explicit, because witness depths
+    pass the recursion limit) reads a head of depth % ``_TAIL`` digits,
+    then descends by jumps, ``_TAIL`` digits at a time, off the graph's
+    jump tables; each state it reaches one jump short of ``depth`` emits
+    its subtree at once, as the path joined with each word of its table,
+    sliced to what ``limit`` still allows.  A depth under ``_TAIL`` lists
+    the root's words directly."""
     base = depth - _TAIL
-    if base <= 0:
-        return _tails(g, root, depth)[:limit]
-    edges = g.edges
-    memo: dict[int, list[tuple[int, ...]]] = {}
+    if base < 0:
+        return [w for w, _ in g.words(root, depth)][:limit]
+    jumps = g.jumps
     out: list[tuple[int, ...]] = []
     path: list[int] = []
-    stack = [iter(g.branch(root))]
+    # the head is shorter than a jump and starts the path, so dropping the
+    # last ``_TAIL`` digits undoes the head or a jump alike
+    stack = [iter(g.words(root, depth % _TAIL))]
     while stack:
-        for e, j in stack[-1]:
-            path.append(e)
+        for w, j in stack[-1]:
+            path += w
             if len(path) < base:
-                stack.append(iter(edges[j] or g.branch(j)))
+                stack.append(zip(*(jumps[j] or g.jump(j))))
                 break
-            tails = memo.get(j)
-            if tails is None:
-                tails = memo[j] = _tails(g, j, _TAIL)
             pt = tuple(path)
-            out += [pt + t for t in tails[:limit - len(out)]]
-            path.pop()
+            out += [pt + v for v in (jumps[j] or g.jump(j))[0][:limit - len(out)]]
+            del path[-_TAIL:]
             if len(out) >= limit:
                 return out
         else:
             stack.pop()
-            if path:
-                path.pop()
+            del path[-_TAIL:]
     return out
 
 

@@ -427,14 +427,15 @@ def ref_walk(g, root, depth, limit):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(points(members=True), points(members=False)))
 def test_walk_matches_reference(point):
-    # the tail-batched walk against the digit-at-a-time walk, on both sides of
-    # the tail length and at witness depth, for limits that cut a batch of
-    # tails, one batch, several, and none
+    # the jumping walk against the digit-at-a-time walk, under one jump and
+    # with every head length before one, two and three jumps, and at witness
+    # depth, for limits that stop it at once, cut one table's words, take
+    # one table, several, and none
     x, params = point
     tree = enumerate_prefixes(x, 24, params)
-    for depth in (*range(expand._TAIL + 4), 24):
+    for depth in (*range(3 * expand._TAIL + 2), 24):
         n = tree.count_at(depth)
-        for limit in (1, 5, 256, n):
+        for limit in (0, 1, 5, 256, n):
             if limit > 2 ** 12:
                 continue  # a continuum point has 2**24 prefixes at depth 24
             got = expand._walk(tree.graph, tree.root, depth, limit)
@@ -474,10 +475,10 @@ def test_step_matches_sign_trials(k, parity, r, p, q):
 # -- the shared graph cache ----------------------------------------------------
 
 def queries(x, params):
-    """Every graph query on x: path counts, listings, and the finite word
-    or the branch witnesses."""
-    tree = enumerate_prefixes(x, 10, params)
-    listed = [tree.prefixes_at(d) for d in range(11)]
+    """Every graph query on x: path counts, listings past two jumps, and the
+    finite word or the branch witnesses."""
+    tree = enumerate_prefixes(x, 2 * expand._TAIL + 2, params)
+    listed = [tree.prefixes_at(d) for d in range(tree.depth + 1)]
     if fe_membership(x) in (IN_S, IN_F):
         found = synth_finite(x, params)
     else:
@@ -493,11 +494,19 @@ def same_denominator(x, params):
             and y.sign() > 0 and y < params.interval_bound][:8]
 
 
+def units(g):
+    """What graph g counts toward the cache bound, counted afresh: its states,
+    plus one per two words of each jump table, rounded up."""
+    return len(g.pairs) + sum((len(t[0]) + 1) // 2 for t in g.jumps if t is not None)
+
+
 def cached():
-    """The states held by the graph cache, counted afresh and checked against
-    the cache's own count."""
-    states = sum(len(g.pairs) for g in expand._CACHE.graphs.values())
+    """What the graph cache holds toward its bound, counted afresh and
+    checked against the cache's own counts."""
+    graphs = expand._CACHE.graphs.values()
+    states = sum(units(g) for g in graphs)
     assert expand._CACHE.states == states
+    assert expand._CACHE.words == sum(len(t[0]) for g in graphs for t in g.jumps if t is not None)
     return states
 
 
@@ -518,8 +527,8 @@ def test_graph_cache_changes_no_result(point):
 
 def test_graph_cache_state_bound(monkeypatch, caplog):
     # a tiny bound evicts on nearly every lookup and changes no result; after
-    # each query the cache holds at most the bound plus the states that query
-    # added to the one graph it looked up
+    # each query the cache holds at most the bound plus the states and jump
+    # tables that query added to the one graph it looked up
     xs = [FieldElem(params, p, q, r)
           for params in (make_params(k, parity) for k in (1, 2, 3, 4) for parity in (ODD, EVEN))
           for r in (1, 2, 3, 5, 6, 9) for p in ((-1, 1) if params.parity == ODD else (0,))
@@ -536,13 +545,13 @@ def test_graph_cache_state_bound(monkeypatch, caplog):
 
     def within_bound():
         g, n = looked_up[-1]
-        assert cached() <= bound + len(g.pairs) - n
+        assert cached() <= bound + units(g) - n
 
     def graph(x, params):
         if looked_up:  # the previous query has finished
             within_bound()
         old = expand._CACHE.graphs.get((params, x.r))
-        n = len(old.pairs) if old else 0
+        n = units(old) if old else 0
         g, root = real_graph(x, params)
         looked_up.append((g, n if g is old else 0))
         return g, root
@@ -556,34 +565,62 @@ def test_graph_cache_state_bound(monkeypatch, caplog):
     assert len(evictions) > 20
 
 
+def test_graph_cache_logs_jump_words(monkeypatch, caplog):
+    # the DEBUG lines name the jump words the cache holds when a graph is
+    # created and the jump words a graph takes with it when it is evicted
+    monkeypatch.setattr(expand, "GRAPH_STATE_BUDGET", 0)
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    x = parse_field("1/3", P1)
+    with caplog.at_level(logging.DEBUG, logger=expand.__name__):
+        enumerate_prefixes(x, 2 * expand._TAIL, P1).prefixes_at()
+        g = expand._CACHE.graphs[P1, 3]
+        words = sum(len(t[0]) for t in g.jumps if t is not None)
+        assert words > 0
+        enumerate_prefixes(parse_field("1/5", P1), 0, P1)
+    created, evicted, created_5 = [rec.getMessage() for rec in caplog.records]
+    fresh = "the cache counts 1 states toward its bound and holds 0 jump words in 1 graphs"
+    assert created.endswith(fresh)
+    assert evicted == (f"evicted the remainder graph of r=3 (k=1, odd): "
+                       f"{len(g.pairs)} states, {words} jump words")
+    assert created_5.endswith(fresh)  # the evicted graph's words left the count
+
+
 def test_graph_cache_stops_counting_evicted_graphs(monkeypatch):
     # a query in another thread may still walk a graph that a lookup has
-    # just evicted; what it adds there no longer counts toward the bound
+    # just evicted; the states and jump tables it adds there no longer count
+    # toward the bound
     monkeypatch.setattr(expand, "GRAPH_STATE_BUDGET", 0)
     monkeypatch.setattr(expand, "_CACHE", expand._Cache())
     g, root = expand._graph(parse_field("1/3", P1), P1)
     expand._graph(parse_field("1/5", P1), P1)
     assert list(expand._CACHE.graphs) == [(P1, 5)]
-    assert len(expand._walk(g, root, 8, 10 ** 6)) == enumerate_prefixes(
-        parse_field("1/3", P1), 8, P1).count_at(8)
+    depth = 2 * expand._TAIL + 1
+    assert len(expand._walk(g, root, depth, 10 ** 6)) == enumerate_prefixes(
+        parse_field("1/3", P1), depth, P1).count_at(depth)
     assert len(g.pairs) > 2
+    assert any(t is not None for t in g.jumps)
     cached()
 
 
 def test_graph_cache_shared_across_threads(monkeypatch):
-    # threads that fill the same graphs at the same time, switching every
-    # microsecond, get the results of a sequential run: a lost update while
-    # interning a state would give two pairs one id
+    # threads that fill the same graphs and jump tables at the same time,
+    # switching every microsecond, get the results of a sequential run: a
+    # lost update while interning a state would give two pairs one id
     xs = [FieldElem(params, p, q, r) for params in (make_params(2, ODD), make_params(3, ODD))
           for r in (7, 11, 13) for p in (-1, 1) for q in range(1, 9)]
     xs = [x for x in xs if x.sign() > 0 and x < x.params.interval_bound]
+
+    def run(x):
+        tree = enumerate_prefixes(x, 40, x.params)
+        return tree.counts, tree.prefixes_at(12), branch_witness(x, 24, 256, x.params)
+
     monkeypatch.setattr(expand, "_CACHE", expand._Cache())
-    want = [enumerate_prefixes(x, 40, x.params).counts for x in xs]
+    want = [run(x) for x in xs]
     got = {}
 
     def work(t):
         for i, x in enumerate(xs):
-            got[t, i] = enumerate_prefixes(x, 40, x.params).counts
+            got[t, i] = run(x)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -597,7 +634,7 @@ def test_graph_cache_shared_across_threads(monkeypatch):
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert got == {(t, i): counts for t in range(4) for i, counts in enumerate(want)}
-            cached()  # the cache's state count lost no update
+            assert got == {(t, i): res for t in range(4) for i, res in enumerate(want)}
+            cached()  # the cache's counts lost no update
     finally:
         sys.setswitchinterval(old)
