@@ -7,7 +7,6 @@ from .algebra import (
     FieldElem,
     ParameterError,
     Params,
-    fe_cmp,
     fe_membership,
     format_field,
     make_params,
@@ -31,7 +30,6 @@ __all__ = [
     "FieldElem",
     "ParameterError",
     "Params",
-    "fe_cmp",
     "fe_membership",
     "format_field",
     "make_params",

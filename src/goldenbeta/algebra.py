@@ -34,7 +34,7 @@ class Params:
 
     k >= 1; odd parity means m = 2k+1 with irrational beta, even parity
     means m = 2k with beta = k+1.  D is the discriminant k^2+6k+5 (odd
-    parity only).
+    parity only).  Any other k or parity raises ParameterError.
     """
 
     k: int
@@ -43,6 +43,10 @@ class Params:
     D: int | None = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or self.k < 1:
+            raise ParameterError(f"k must be a positive integer, got {self.k!r}")
+        if self.parity not in (ODD, EVEN):
+            raise ParameterError(f"parity must be 'odd' or 'even', got {self.parity!r}")
         odd = self.parity == ODD
         object.__setattr__(self, "m", 2 * self.k + 1 if odd else 2 * self.k)
         object.__setattr__(self, "D", self.k * self.k + 6 * self.k + 5 if odd else None)
@@ -61,9 +65,7 @@ class Params:
 
     @property
     def beta(self) -> "FieldElem":
-        if self.parity == ODD:
-            return FieldElem(self, 1, 0, 1)
-        return FieldElem(self, 0, self.k + 1, 1)
+        return FieldElem(self, 1, 0, 1)  # folded to k+1 in even parity
 
     @property
     def zero(self) -> "FieldElem":
@@ -81,11 +83,7 @@ class Params:
 
 
 def make_params(k: int, parity: str) -> Params:
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k!r}")
-    if parity in (ODD, EVEN):
-        return Params(k, parity)
-    raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+    return Params(k, parity)
 
 
 def times_beta(p: int, q: int, params: Params) -> tuple[int, int]:
@@ -99,7 +97,7 @@ def times_beta(p: int, q: int, params: Params) -> tuple[int, int]:
 
 def sign_pq(p: int, q: int, params: Params) -> int:
     """Sign of p*beta + q (p = 0 in even parity), by integer case analysis."""
-    if params.parity == EVEN or p == 0:
+    if p == 0:
         return (q > 0) - (q < 0)
     # p*beta+q = (U + V*sqrt(D))/2 with U = p(k+1)+2q, V = p.
     U = p * (params.k + 1) + 2 * q
@@ -116,7 +114,7 @@ def sign_pq(p: int, q: int, params: Params) -> int:
 
 def floor_pq(p: int, q: int, r: int, params: Params) -> int:
     """floor((p*beta + q)/r) for r > 0 (p = 0 in even parity), exactly."""
-    if params.parity == EVEN or p == 0:
+    if p == 0:
         return q // r
     # 2(p*beta+q) = U + p*sqrt(D) with U = p(k+1)+2q.  D = (k+3)^2 - 4 is
     # never a square, so p*sqrt(D) lies strictly between two integers and
@@ -252,14 +250,6 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({format_field(self)!r}, k={self.params.k}, {self.params.parity})"
-
-
-LT, EQ, GT = "LT", "EQ", "GT"
-
-
-def fe_cmp(a: FieldElem, b: FieldElem) -> str:
-    s = a.compare(b)
-    return LT if s < 0 else (GT if s > 0 else EQ)
 
 
 IN_S, NOT_IN_S = "InS", "NotInS"

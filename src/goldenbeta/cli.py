@@ -63,11 +63,11 @@ def _json(obj, ind: str = "\n") -> str:
     """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
     trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
     newline and indent of the line that holds ``obj``.  json's own encoder
-    drops to pure Python whenever an indent is set, so here an int list is
-    joined in one pass, and a list of int rows of one nonzero length (a prefix
-    listing, census's depth/count pairs) maps one ``%d`` row template over its
-    rows, in C.  Ints are of type exactly ``int``: a bool, IntEnum or float
-    inside, ragged or empty rows and dicts take the general, recursive path."""
+    drops to pure Python whenever an indent is set, so here a list of int
+    rows of one nonzero length (a prefix listing, census's depth/count pairs)
+    maps one ``%d`` row template over its rows, in C.  Ints are of type
+    exactly ``int``: a bool, IntEnum or float inside, ragged or empty rows,
+    dicts and every other list take the general, recursive path."""
     inner = ind + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -77,11 +77,8 @@ def _json(obj, ind: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        types = set(map(type, obj))
-        if types == {int}:
-            items = map(int.__repr__, obj)
-        elif (types <= {list, tuple} and set(map(len, obj)) == {len(obj[0])}  # empty rows
-              and set(map(type, chain.from_iterable(obj))) == {int}):  # give set() here
+        if (set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {len(obj[0])}
+                and set(map(type, chain.from_iterable(obj))) == {int}):  # empty rows give set()
             row = inner + "  "
             tmpl = "[" + row + ("," + row).join(["%d"] * len(obj[0])) + inner + "]"
             items = map(tmpl.__mod__, map(tuple, obj))
@@ -128,8 +125,6 @@ def census_elements(params: Params, den_bound: int, num_bound: int) -> list[Fiel
         for p in p_range:
             for q in q_range:
                 x = FieldElem(params, p, q, r)
-                if x.r > den_bound or abs(x.p) > num_bound or abs(x.q) > num_bound:
-                    continue  # reduced out of the requested window
                 if x in seen:
                     continue
                 seen.add(x)

@@ -128,11 +128,8 @@ def _step(p: int, q: int, r: int, params: Params) -> Children:
     each mapped to the pair of beta*y - e over the same r: the e with
     0 <= beta*y - e <= m/(beta-1), from one floor for each side."""
     p, q = times_beta(p, q, params)
-    if params.parity == ODD:
-        top_p, top_q = r, -params.k * r  # interval_bound = beta - k, times r
-    else:
-        top_p, top_q = 0, 2 * r
-    lo = -floor_pq(top_p - p, top_q - q, r, params)  # least e with beta*y - e <= top
+    top = params.interval_bound  # m/(beta-1), whose denominator is 1
+    lo = -floor_pq(top.p * r - p, top.q * r - q, r, params)  # least e with beta*y - e <= top
     hi = floor_pq(p, q, r, params)  # greatest e with beta*y - e >= 0
     out: Children = {}
     # a loop, not a comprehension: the interval holds at most three digits,

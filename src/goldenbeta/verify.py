@@ -100,66 +100,57 @@ def check_one_family(rng, depth=8):
     return True, f"k<=3, depth={depth}"
 
 
+# the rule of each value-preservation trial, in turn
+_TRIAL_RULES = ("cr", "bsep", "carry", "borrow", "reduce", "add", "div", "mulbeta")
+
+
+def _trial_words(rule: str, rng, params: Params) -> tuple[Word, ...]:
+    """Random input words for one trial of ``rule``, inside its domain."""
+    k = params.k
+    if rule == "carry":
+        return (_with_first(_random_word(rng, params), rng.randint(k + 2, 2 * k + 1), 0),)
+    if rule == "borrow":
+        return (_with_first(_random_word(rng, params), rng.randint(0, k - 1), 1),)
+    if rule == "add":
+        return _random_finite(rng, params), _random_finite(rng, params)
+    if rule == "mulbeta":  # beta*x must stay inside the interval
+        limit = params.interval_bound.div_beta()
+        while True:
+            w = _random_finite(rng, params, max_len=5)
+            if word_value(w, params) < limit:
+                return (w,)
+    return (_random_finite(rng, params),)
+
+
 def check_value_preservation(rng, samples=1000):
+    """Random words through every rule by ``rewrite.apply_rule``, which
+    raises when a value-preserving rule changes the value; here the other
+    rules' values and the output shapes are checked."""
     params_pool = [make_params(k, ODD) for k in (1, 2, 3)]
     for trial in range(samples):
         params = params_pool[trial % len(params_pool)]
         k = params.k
-        which = trial % 8
+        rule = _TRIAL_RULES[trial % 8]
         try:
-            if which == 0:
-                w = _random_finite(rng, params)
-                out = rewrite.cr_step(w, params)
-            elif which == 1:
-                w = _random_finite(rng, params)
-                out = rewrite.b_separate(w, params)
-            elif which == 2:
-                w = _with_first(_random_word(rng, params),
-                                rng.randint(k + 2, 2 * k + 1), 0)
-                out = rewrite.carry_T_plus(w, params)
-                if not (out.is_valid(params) and out.int_part == 1):
-                    return False, f"carry output invalid on {format_word(w)}"
-            elif which == 3:
-                w = _with_first(_random_word(rng, params), rng.randint(0, k - 1), 1)
-                out = rewrite.borrow_T_minus(w, params)
-                if not (out.is_valid(params) and out.int_part == 0):
-                    return False, f"borrow output invalid on {format_word(w)}"
-            elif which == 4:
-                w = _random_finite(rng, params)
-                out = rewrite.reduce_digits(w, params)
-                if any(d > k + 1 for d in out.digits):
-                    return False, f"reduce left a digit above k+1 on {format_word(w)}"
-            elif which == 5:
-                a, b = _random_finite(rng, params), _random_finite(rng, params)
-                out = rewrite.add_words(a, b, params)
-                want = word_value(a, params) + word_value(b, params)
-                got = word_value(out, params)
-                if not (want == got and out.is_valid(params)):
-                    return False, f"add mismatch on {format_word(a)} + {format_word(b)}"
-                continue
-            elif which == 6:
-                w = _random_finite(rng, params)
-                out = rewrite.div_word_by_k1(w, params)
-                want = word_value(w, params) / (k + 1)
-                if want != word_value(out, params):
-                    return False, f"div mismatch on {format_word(w)}"
-                continue
-            else:
-                limit = params.interval_bound.div_beta()
-                while True:
-                    w = _random_finite(rng, params, max_len=5)
-                    if word_value(w, params) < limit:
-                        break
-                out = rewrite.mul_beta_word(w, params)
-                want = word_value(w, params).mul_beta()
-                if not (want == word_value(out, params)
-                        and out.is_valid(params)):
-                    return False, f"mul_beta mismatch on {format_word(w)}"
-                continue
+            words = _trial_words(rule, rng, params)
+            trace = rewrite.apply_rule(rule, params, *words)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             return False, f"exception in trial {trial}: {exc!r}"
-        if word_value(w, params) != word_value(out, params):
-            return False, f"value changed: {format_word(w)} -> {format_word(out)}"
+        out, got, w = trace.output, trace.value, words[0]
+        if rule == "carry" and not (out.is_valid(params) and out.int_part == 1):
+            return False, f"carry output invalid on {format_word(w)}"
+        if rule == "borrow" and not (out.is_valid(params) and out.int_part == 0):
+            return False, f"borrow output invalid on {format_word(w)}"
+        if rule == "reduce" and any(d > k + 1 for d in out.digits):
+            return False, f"reduce left a digit above k+1 on {format_word(w)}"
+        if rule == "add" and not (got == word_value(w, params) + word_value(words[1], params)
+                                  and out.is_valid(params)):
+            return False, f"add mismatch on {format_word(w)} + {format_word(words[1])}"
+        if rule == "div" and got != word_value(w, params) / (k + 1):
+            return False, f"div mismatch on {format_word(w)}"
+        if rule == "mulbeta" and not (got == word_value(w, params).mul_beta()
+                                      and out.is_valid(params)):
+            return False, f"mul_beta mismatch on {format_word(w)}"
     return True, f"{samples} randomized trials"
 
 

@@ -9,7 +9,8 @@ so intermediate rewriting states may hold any integer digits.
 
 Every reader sees a word one way: ``pre_period`` gives its (preperiod,
 period) pair, a finite word read with the period (0,), and ``split_at`` reads
-that pair past its stored digits.  ``word_value`` evaluates it as
+that pair past its stored digits.  A digit tail, as ``ind`` reads it, is
+such a pair too.  ``word_value`` evaluates a word as
 (H(pre+per) - H(pre)) / (beta^(n+L) - beta^n): H is a Horner pass over
 integer pairs through ``times_beta``, and only the quotient is a FieldElem.
 """
@@ -202,28 +203,17 @@ def ind(sign: str, tail, params: Params) -> int | float:
     """First index breaking the alternating small/big (plus) or big/small
     (minus) pattern, or infinity if the alternation never breaks.
 
-    ``tail`` is a finite digit sequence, read with the period (0,), or a
-    (preperiod, period) pair.  Past the preperiod, digits and the pattern
-    repeat together with period lcm(L, 2), which divides 2L, so a scan of
-    the preperiod and two periods decides every case.
+    ``tail`` is a (preperiod, period) pair; a finite tail has the period
+    (0,).  Past the preperiod, digits and the pattern repeat together with
+    period lcm(L, 2), which divides 2L, so a scan of the preperiod and two
+    periods decides every case.
     """
     if sign not in (PLUS, MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if isinstance(tail, tuple) and len(tail) == 2 and isinstance(tail[0], (tuple, list)):
-        pre, per = tuple(tail[0]), tuple(tail[1])
-    else:
-        pre, per = tuple(tail), (0,)
+    pre, per = tail
     big = sign == MINUS  # whether the digit at position i should be big
     for i, d in enumerate(pre + per + per, 1):
         if params.in_big(d) != big:
             return i
         big = not big
     return IND_INF
-
-
-def word_tail(w: Word, start: int = 1):
-    """The digit sequence of w from 1-based position ``start`` on, in the
-    form ``ind`` accepts: flat for a finite word, a pair otherwise."""
-    pre, per = pre_period(w)
-    tail = pre[start - 1 :]
-    return tail if isinstance(w, DigitWord) else (tail, split_at(pre, per, start - 1)[1])

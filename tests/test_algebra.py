@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldenbeta.algebra import (
-    EQ,
     EVEN,
-    GT,
     IN_F,
     IN_S,
-    LT,
     NOT_IN_F,
     NOT_IN_S,
     ODD,
@@ -21,7 +18,6 @@ from goldenbeta.algebra import (
     FieldElem,
     ParameterError,
     Params,
-    fe_cmp,
     fe_membership,
     floor_pq,
     format_field,
@@ -82,6 +78,19 @@ def test_make_params_rejects():
         make_params(1, "both")
 
 
+@pytest.mark.parametrize("k, parity, message", [
+    (1, "bogus", "parity must be 'odd' or 'even', got 'bogus'"),
+    (-3, ODD, "k must be a positive integer, got -3"),
+    (0, EVEN, "k must be a positive integer, got 0"),
+    (1.0, ODD, "k must be a positive integer, got 1.0"),
+])
+def test_params_checks_its_arguments(k, parity, message):
+    # the constructor itself refuses, not only make_params
+    with pytest.raises(ParameterError) as exc:
+        Params(k, parity)
+    assert str(exc.value) == message
+
+
 def test_digit_classes():
     assert [d for d in range(-1, 5) if P1.in_small(d)] == [0, 1]
     assert [d for d in range(-1, 5) if P1.in_big(d)] == [2, 3]
@@ -106,11 +115,12 @@ def test_fe_mul_beta_examples():
 
 
 def test_fe_cmp_examples():
+    # fe_cmp is gone; its cases now assert the signs of FieldElem.compare
     b = P1.beta
-    assert fe_cmp(P1.one, b - 2) == GT
-    assert fe_cmp(b - 1, P1.one) == GT
-    assert fe_cmp(b, b) == EQ
-    assert fe_cmp(P1.zero, P1.one) == LT
+    assert P1.one.compare(b - 2) == 1
+    assert (b - 1).compare(P1.one) == 1
+    assert b.compare(b) == 0
+    assert P1.zero.compare(P1.one) == -1
 
 
 def test_canonical_form():
@@ -171,13 +181,13 @@ def test_cmp_matches_decimal(ta, tb, k):
     params = make_params(k, ODD)
     a, b = FieldElem(params, *ta), FieldElem(params, *tb)
     want = to_decimal(a) - to_decimal(b)
-    got = fe_cmp(a, b)
+    got = a.compare(b)
     if want == 0:
-        assert got == EQ
+        assert got == 0
     elif want > 0:
-        assert got == GT
+        assert got == 1
     else:
-        assert got == LT
+        assert got == -1
     assert abs(to_decimal(a * b) - to_decimal(a) * to_decimal(b)) < decimal.Decimal("1e-80")
 
 

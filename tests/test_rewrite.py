@@ -18,7 +18,8 @@ from goldenbeta.words import (
     ind,
     is_B_separated,
     parse_word,
-    word_tail,
+    pre_period,
+    split_at,
     word_value,
 )
 from goldenbeta.rewrite import (
@@ -132,6 +133,13 @@ def _prepend(w, first, int_part):
     return EvPeriodicWord(int_part, (first, *w.preperiod), w.period)
 
 
+def _tail(w):
+    """The digits of w from position 2 on, as the (preperiod, period) pair
+    ``ind`` reads."""
+    pre, per = pre_period(w)
+    return pre[1:], split_at(pre, per, 1)[1]
+
+
 def test_carry_borrow_random_preservation():
     rng = random.Random(23)
     for params in (P1, P2):
@@ -165,12 +173,10 @@ def test_borrow_undoes_carry():
 
 def test_carry_injective_within_ind_class():
     rng = random.Random(47)
-    from goldenbeta.words import PLUS, ind, word_tail
-
     by_class = {}
     for _ in range(1000):
         w = _prepend(_random_tail(rng, P1), rng.randint(2, 3), 0)
-        v = ind(PLUS, word_tail(w, 2), P1)
+        v = ind(PLUS, _tail(w), P1)
         if v != 1 and (w.digits[0] if isinstance(w, DigitWord) else w.digit_at(1)) == 2:
             continue  # carry restricted to B-minus heads for v >= 2
         key = (v if v == float("inf") else int(v))
@@ -202,7 +208,7 @@ def ref_carry_T_plus(w, params):
     b = ref_first_digit(w)
     if not params.in_big(b):
         raise DomainError(f"carry needs a big first digit, got {b}")
-    tail = word_tail(w, 2)
+    tail = _tail(w)
     v = ind(PLUS, tail, params)
     if v == IND_INF or int(v) >= 2:
         # these branches lower the head by k+2, so b = k+1 is out of range
@@ -233,7 +239,7 @@ def ref_borrow_T_minus(w, params):
     a = ref_first_digit(w)
     if not params.in_small(a):
         raise DomainError(f"borrow needs a small first digit, got {a}")
-    tail = word_tail(w, 2)
+    tail = _tail(w)
     v = ind(MINUS, tail, params)
     if v == IND_INF or int(v) >= 2:
         # these branches raise the head by k+2, so a = k is out of range

@@ -20,7 +20,6 @@ from goldenbeta.words import (
     parse_word,
     pre_period,
     split_at,
-    word_tail,
     word_value,
 )
 
@@ -98,33 +97,38 @@ def test_is_B_separated():
 
 
 def test_ind_examples():
-    assert ind(PLUS, (2, 1), P1) == 1
-    assert ind(PLUS, (0, 1), P1) == 2
+    assert ind(PLUS, ((2, 1), (0,)), P1) == 1
+    assert ind(PLUS, ((0, 1), (0,)), P1) == 2
     assert ind(PLUS, ((), (0, 3)), P1) == IND_INF
-    assert ind(MINUS, (0,), P1) == 1
+    assert ind(MINUS, ((0,), (0,)), P1) == 1
     assert ind(MINUS, ((), (3, 0)), P1) == IND_INF
-    assert ind(MINUS, (3, 0, 3, 3), P1) == 4
+    assert ind(MINUS, ((3, 0, 3, 3), (0,)), P1) == 4
     # finite tail continued by zeros: 0 is small, breaking MINUS at odd pos
-    assert ind(MINUS, (3, 0, 3, 0), P1) == 5
+    assert ind(MINUS, ((3, 0, 3, 0), (0,)), P1) == 5
 
 
 def test_ind_prefix_determined():
     rng = random.Random(1)
     for _ in range(300):
         tail = tuple(rng.randint(0, 3) for _ in range(8))
-        v = ind(PLUS, tail, P1)
+        v = ind(PLUS, (tail, (0,)), P1)
         if v is not IND_INF and v <= len(tail):
             # changing digits past v does not move the index
             mutated = tail[: int(v)] + tuple(rng.randint(0, 3) for _ in range(4))
-            assert ind(PLUS, mutated, P1) == v
+            assert ind(PLUS, (mutated, (0,)), P1) == v
 
 
 def test_word_tail():
+    # word_tail is gone; the tail from position n is read off the
+    # (preperiod, period) pair, a finite word having the period (0,)
+    def tail(w, n):
+        pre, per = pre_period(w)
+        return pre[n - 1:], split_at(pre, per, n - 1)[1]
     w = DigitWord(0, (3, 0, 1))
-    assert word_tail(w, 2) == (0, 1)
+    assert tail(w, 2) == ((0, 1), (0,))
     p = EvPeriodicWord(0, (1, 2), (3, 0))
-    assert word_tail(p, 2) == ((2,), (3, 0))
-    assert word_tail(p, 4) == ((), (0, 3))
+    assert tail(p, 2) == ((2,), (3, 0))
+    assert tail(p, 4) == ((), (0, 3))
 
 
 def test_shift_consistency():
@@ -246,20 +250,23 @@ def ref_ind(sign, tail, params):
 
 @st.composite
 def tails_with_params(draw):
+    """A system, a tail in the form ``ref_ind`` reads (a flat finite tail or
+    a pair) and the same tail as the pair ``ind`` reads."""
     params = make_params(draw(st.integers(1, 4)), draw(st.sampled_from([ODD, EVEN])))
     digits = st.lists(st.integers(0, params.m), max_size=8)
     pre = draw(digits)
     if draw(st.booleans()):
-        return params, tuple(pre) if draw(st.booleans()) else pre
+        return params, tuple(pre) if draw(st.booleans()) else pre, (tuple(pre), (0,))
     per = draw(st.lists(st.integers(0, params.m), min_size=1, max_size=4))
-    return params, (tuple(pre), tuple(per)) if draw(st.booleans()) else (pre, per)
+    tail = (tuple(pre), tuple(per)) if draw(st.booleans()) else (pre, per)
+    return params, tail, tail
 
 
 @given(tails_with_params(), st.sampled_from([PLUS, MINUS]))
 @settings(max_examples=600)
 def test_ind_matches_reference(pt, sign):
-    params, tail = pt
-    assert ind(sign, tail, params) == ref_ind(sign, tail, params)
+    params, ref_tail, tail = pt
+    assert ind(sign, tail, params) == ref_ind(sign, ref_tail, params)
 
 
 @given(st.lists(st.integers(0, 9), max_size=6), st.lists(st.integers(0, 9), min_size=1, max_size=4),
