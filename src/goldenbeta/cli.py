@@ -7,7 +7,10 @@ Output is JSON (CSV for census on request), written to stdout or --out,
 and is byte-deterministic for fixed flags and seed: the JSON is exactly
 what the standard ``json`` module writes with ``indent=2``, followed by a
 newline.  The writer formats a prefix listing (int rows of one length)
-through one ``%d`` row template; other shapes take its general path.
+through one ``%d`` row template and writes a str or int leaf with the
+function json itself uses for it; other shapes take its general path.
+Census finds its window's points on integer triples and builds a field
+element only for each point it keeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out path that cannot be written), 3 domain error.
@@ -23,6 +26,7 @@ import re
 import sys
 from functools import cache, cmp_to_key
 from itertools import chain
+from math import gcd
 
 from .algebra import (
     EVEN,
@@ -34,6 +38,7 @@ from .algebra import (
     format_field,
     make_params,
     parse_field,
+    sign_pq,
 )
 from .words import ParseError, format_word, parse_word
 from . import expand, rewrite, verify
@@ -57,17 +62,26 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 _encode = json.JSONEncoder().encode  # C-accelerated when it has no indent
+_encode_str = json.encoder.encode_basestring_ascii  # what json writes for a str
 
 
 def _json(obj, ind: str = "\n") -> str:
     """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
     trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
     newline and indent of the line that holds ``obj``.  json's own encoder
-    drops to pure Python whenever an indent is set, so here a list of int
-    rows of one nonzero length (a prefix listing, census's depth/count pairs)
-    maps one ``%d`` row template over its rows, in C.  Ints are of type
-    exactly ``int``: a bool, IntEnum or float inside, ragged or empty rows,
-    dicts and every other list take the general, recursive path."""
+    drops to pure Python whenever an indent is set, so here a leaf of type
+    exactly ``str`` or ``int`` is written as json writes it, by
+    ``encode_basestring_ascii`` or ``int.__repr__``, and a list of int rows
+    of one nonzero length (a prefix listing, census's depth/count pairs)
+    maps one ``%d`` row template over its rows, in C.  Types are tested
+    exactly: a bool, IntEnum member, float or str subclass takes json's
+    encoder, and a listing holding one, ragged or empty rows, dicts and
+    every other list take the general, recursive path."""
+    cls = type(obj)
+    if cls is str:
+        return _encode_str(obj)
+    if cls is int:
+        return int.__repr__(obj)
     inner = ind + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -111,27 +125,29 @@ def census_elements(params: Params, den_bound: int, num_bound: int) -> list[Fiel
     """Canonical field elements strictly inside the expansion interval with
     denominator <= den_bound and |p|, |q| <= num_bound, sorted by value.
     A window of more than ``CENSUS_WINDOW_BUDGET`` candidate triples is
-    refused before any element is built."""
-    top = params.interval_bound
-    seen = set()
-    out = []
+    refused before any element is built.
+
+    Everything is decided on the integer triples (p, q, r).  Each value in
+    the window has exactly one reduced triple there (beta is irrational in
+    odd parity, and p = 0 in even parity), so the points are the triples
+    with gcd(p, q, r) = 1.  A triple is interior when p*beta + q and
+    r*(tp*beta + tq) - (p*beta + q) are positive, for the interval bound
+    tp*beta + tq (its denominator is 1), and triples are sorted by the sign
+    of their cross-products; a ``FieldElem`` is built only for each
+    survivor."""
     q_range = range(-num_bound, num_bound + 1)
     p_range = q_range if params.parity == ODD else (0,)
     window = max(den_bound, 0) * len(p_range) * len(q_range)
     if window > CENSUS_WINDOW_BUDGET:
         raise DomainError(f"census window of {window} candidates is over the "
                           f"window budget of {CENSUS_WINDOW_BUDGET}")
-    for r in range(1, den_bound + 1):
-        for p in p_range:
-            for q in q_range:
-                x = FieldElem(params, p, q, r)
-                if x in seen:
-                    continue
-                seen.add(x)
-                if x.sign() > 0 and x < top:
-                    out.append(x)
-    out.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
-    return out
+    tp, tq = params.interval_bound.p, params.interval_bound.q  # over r = 1
+    triples = [(p, q, r) for r in range(1, den_bound + 1) for p in p_range for q in q_range
+               if gcd(p, q, r) == 1 and sign_pq(p, q, params) > 0
+               and sign_pq(tp * r - p, tq * r - q, params) > 0]
+    triples.sort(key=cmp_to_key(lambda a, b: sign_pq(a[0] * b[2] - b[0] * a[2],
+                                                     a[1] * b[2] - b[1] * a[2], params)))
+    return [FieldElem(params, p, q, r) for p, q, r in triples]
 
 
 def _census_row(x: FieldElem, params: Params, depths: list[int]) -> dict:

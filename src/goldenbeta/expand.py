@@ -50,6 +50,7 @@ from .algebra import (
     Params,
     fe_membership,
     floor_pq,
+    format_field,
     split_denominator,
     times_beta,
 )
@@ -437,6 +438,9 @@ def _refuse_outside(x: FieldElem, params: Params) -> None:
 
 def _refuse_nonmember(x: FieldElem, params: Params) -> None:
     _refuse_outside(x, params)
+    if x.is_zero() or x.compare(params.interval_bound) == 0:
+        raise DomainError(f"x = {format_field(x)} is an endpoint of the expansion "
+                          "interval; synthesis refused")
     if fe_membership(x) not in (IN_S, IN_F):
         raise DomainError("x has no finite expansion; synthesis refused")
 

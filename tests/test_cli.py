@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 from enum import IntEnum
+from functools import cmp_to_key
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldenbeta
-from goldenbeta.algebra import ODD, EVEN, DomainError, make_params, parse_field
+from goldenbeta.algebra import ODD, EVEN, DomainError, FieldElem, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
 from goldenbeta.cli import _json, census_elements, main
 
@@ -242,6 +244,21 @@ def test_synth_construct_refuses_nonmember_and_falls_back():
     assert json.loads(proc.stdout)["result"] == "0.1"
 
 
+@pytest.mark.parametrize("argv, endpoint", [
+    (["synth", "0"], "0"),
+    (["synth", "(-1+1*b)"], "(-1+1*b)"),
+    (["synth", "0", "--route", "construct"], "0"),
+    (["synth", "2", "--parity", "even"], "2"),
+], ids=["zero", "top", "zero-construct", "top-even"])
+def test_synth_refuses_endpoints(argv, endpoint, capsys):
+    # named before fe_membership, whose guard covers the open interval only
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: x = {endpoint} is an endpoint of the expansion "
+                            "interval; synthesis refused\n")
+
+
 def test_parser_reuse_matches_fresh_process(capsys):
     # one process reuses its parser across calls; each output must equal the
     # same call in a fresh interpreter, byte for byte
@@ -329,6 +346,41 @@ def test_census_elements_canonical():
         assert x.sign() > 0 and x < P1.interval_bound
 
 
+def ref_census_elements(params, den_bound, num_bound):
+    """census_elements as it was before it decided on integer triples: a
+    FieldElem per candidate, a set of the values seen, a sort by compare."""
+    top = params.interval_bound
+    seen = set()
+    out = []
+    q_range = range(-num_bound, num_bound + 1)
+    p_range = q_range if params.parity == ODD else (0,)
+    for r in range(1, den_bound + 1):
+        for p in p_range:
+            for q in q_range:
+                x = FieldElem(params, p, q, r)
+                if x in seen:
+                    continue
+                seen.add(x)
+                if x.sign() > 0 and x < top:
+                    out.append(x)
+    out.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
+    return out
+
+
+@pytest.mark.parametrize("k, parity", [(k, ODD) for k in (1, 2, 3, 4)]
+                         + [(k, EVEN) for k in (1, 2, 3)])
+def test_census_elements_match_reference(k, parity):
+    params = make_params(k, parity)
+    for den in range(-1, 9):
+        for num in range(-1, 9):
+            xs = census_elements(params, den, num)
+            assert xs == ref_census_elements(params, den, num), (den, num)
+            # each survivor was already a reduced triple of the window
+            for x in xs:
+                assert gcd(x.p, x.q, x.r) == 1
+                assert x.r <= den and abs(x.p) <= num and abs(x.q) <= num
+
+
 def test_out_flag(tmp_path, capsys):
     path = tmp_path / "result.json"
     assert main(["classify", "1", "--out", str(path)]) == 0
@@ -345,8 +397,22 @@ def test_out_flag(tmp_path, capsys):
 # keys and strings that need escaping: quotes, backslashes, control
 # characters and non-ASCII, which json writes as \uXXXX
 json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€𝔟'), st.characters()))
+
+
+class Digit(IntEnum):
+    ONE = 1
+    BIG = 2 ** 70
+
+
+class S(str):
+    pass
+
+
+# the writer's fast paths test exact types, so the leaves include ones that
+# are not exactly str or int: bools, IntEnum members and a str subclass
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
-                         st.integers(-10 ** 40, 10 ** 40), st.floats(), json_text)
+                         st.integers(-10 ** 40, 10 ** 40), st.floats(), json_text,
+                         st.sampled_from(Digit), json_text.map(S))
 json_trees = st.recursive(json_scalars, lambda kids: st.one_of(
     st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(json_text, kids),
     st.lists(st.one_of(st.integers(), st.booleans())),
@@ -357,10 +423,6 @@ json_trees = st.recursive(json_scalars, lambda kids: st.one_of(
 @settings(max_examples=200)
 def test_json_writer_matches_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, indent=2)
-
-
-class Digit(IntEnum):
-    ONE = 1
 
 
 # prefix listings, the shape the writer formats through one row template:
@@ -396,7 +458,8 @@ def test_json_writer_matches_json_dumps_on_listings(obj):
 
 def test_json_writer_listing_edge_cases():
     for obj in ([[1, True]], [[1, 2], (3, Digit.ONE)], [[]] * 3, [[0], [1, 2]],
-                [(-2 ** 70, 2 ** 70)], [[1.0]]):
+                [(-2 ** 70, 2 ** 70)], [[1.0]], {"a": Digit.ONE, "b": True, "c": S("x")},
+                [S("y\u00e9"), Digit.BIG, 2 ** 70]):
         assert _json(obj) == json.dumps(obj, indent=2)
     assert _json([[True]]) == "[\n  [\n    true\n  ]\n]"
 

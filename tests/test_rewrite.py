@@ -14,7 +14,6 @@ from goldenbeta.words import (
     PLUS,
     DigitWord,
     EvPeriodicWord,
-    format_word,
     ind,
     is_B_separated,
     parse_word,
