@@ -295,15 +295,18 @@ _SURD_RE = re.compile(r"^\(([+-]?\d+)([+-]\d+)\*b\)(?:/(0*[1-9]\d*))?$")
 def parse_field(text: str, params: Params) -> FieldElem:
     """Parse a literal like ``(1+1*b)/6``, ``(0+1*b)/2`` or ``3/4``."""
     text = text.strip()
-    m = _RAT_RE.match(text)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2) or 1)
+    m = _RAT_RE.match(text) or _SURD_RE.match(text)
+    if not m:
+        raise DomainError(f"malformed field literal: {text!r}")
+    try:
+        ints = [int(g or 1) for g in m.groups()]
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise DomainError("a number in the field literal has too many digits") from None
+    if m.re is _RAT_RE:
+        num, den = ints
         return FieldElem(params, 0, num, den)
-    m = _SURD_RE.match(text)
-    if m:
-        const, coeff, den = int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
-        return FieldElem(params, coeff, const, den)
-    raise DomainError(f"malformed field literal: {text!r}")
+    const, coeff, den = ints
+    return FieldElem(params, coeff, const, den)
 
 
 def format_field(x: FieldElem) -> str:

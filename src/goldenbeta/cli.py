@@ -76,7 +76,8 @@ def _json(obj, ind: str = "\n") -> str:
     maps one ``%d`` row template over its rows, in C.  Types are tested
     exactly: a bool, IntEnum member, float or str subclass takes json's
     encoder, and a listing holding one, ragged or empty rows, dicts and
-    every other list take the general, recursive path."""
+    every other list take the general, recursive path.  A dict key is
+    written as a str; any other key raises ``TypeError``."""
     cls = type(obj)
     if cls is str:
         return _encode_str(obj)
@@ -86,7 +87,7 @@ def _json(obj, ind: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (_encode(k) + ": " + _json(v, inner) for k, v in obj.items())
+        items = (_encode_str(k) + ": " + _json(v, inner) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + ind + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -3,11 +3,13 @@ digit-range reduction, and closure under *beta, +, and /(k+1).
 
 Everything here trades on the single identity 1.00 = 0.(k+1)(k+1), i.e.
 beta^2 = (k+1)(beta+1).  Carry and borrow are one mirrored map, ``_trade``,
-read in the two directions of that identity; its alternating patterns are
-the ones forced by exact value preservation.  Carry and borrow also take
-eventually periodic words, every other rule finite words only.  Every rule
-is cross-checked against the field-arithmetic evaluator in the test suite.
-Odd-parity systems only: the calculus lives on the quadratic base.
+read in the two directions of that identity, and also take eventually
+periodic words.  Every other rule takes finite words and runs on one
+integer list, through ``_separate`` (big-digit carries) and ``_reduce``
+(digit-range reduction), both in place, and builds a word only when it
+returns.  Every rule is cross-checked against the field-arithmetic
+evaluator in the test suite.  Odd-parity systems only: the calculus lives
+on the quadratic base.
 """
 
 from __future__ import annotations
@@ -34,43 +36,47 @@ def _require_odd(params: Params) -> None:
         raise DomainError("the rewriting calculus applies to odd-parity systems")
 
 
-def _at(seq, i: int) -> int:
-    return seq[i] if 0 <= i < len(seq) else 0
-
-
 # -- big-digit separation ------------------------------------------------
+
+def _separate(int_part: int, d: list[int], params: Params, steps=None, limit=None) -> int:
+    """Make up to ``limit`` (None: every) leftmost big-big carries in ``d``
+    in place; return the new integer part.  A carry at (l, l+1) turns both
+    its digits small, so the pairs at l-1, l and l+1 are not big-big, and
+    only the one at l-2, raised by the carry, can be: the scan resumes there."""
+    k1, m = params.k + 1, params.m
+    l, done = 0, 0
+    while l < len(d) - 1 and done != limit:
+        if k1 <= d[l] <= m and k1 <= d[l + 1] <= m:
+            if l == 0:
+                int_part += 1
+            else:
+                d[l - 1] += 1
+            d[l] -= k1
+            d[l + 1] -= k1
+            if steps is not None:
+                steps.append(("carry-pair", l + 1))
+            done += 1
+            l = max(l - 2, 0)
+        else:
+            l += 1
+    return int_part
+
 
 def cr_step(w: DigitWord, params: Params, _steps=None) -> DigitWord:
     """One leftmost carry: the first big-big digit pair (positions l, l+1)
     becomes (+1 into position l-1, both big digits dropped by k+1)."""
     _require_odd(params)
-    k = params.k
     d = list(w.digits)
-    for l in range(len(d) - 1):
-        if params.in_big(d[l]) and params.in_big(d[l + 1]):
-            int_part = w.int_part
-            if l == 0:
-                int_part += 1
-            else:
-                d[l - 1] += 1
-            d[l] -= k + 1
-            d[l + 1] -= k + 1
-            if _steps is not None:
-                _steps.append(("carry-pair", l + 1))
-            return DigitWord(int_part, tuple(d))
-    return w
+    return DigitWord(_separate(w.int_part, d, params, _steps, 1), tuple(d))
 
 
 def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:
-    """Iterate ``cr_step`` to its fixpoint: a word of equal value with no
-    two consecutive big digits.  Each step lowers the digit sum by 2k+1,
-    so the loop terminates."""
+    """``cr_step`` to its fixpoint, in one pass over one digit list: a word
+    of equal value with no two consecutive big digits.  Each carry lowers
+    the digit sum by 2k+1, so the pass terminates."""
     _require_odd(params)
-    while True:
-        nxt = cr_step(w, params, _steps)
-        if nxt == w:
-            return w
-        w = nxt
+    d = list(w.digits)
+    return DigitWord(_separate(w.int_part, d, params, _steps), tuple(d))
 
 
 # -- carry and borrow ----------------------------------------------------
@@ -143,7 +149,17 @@ def _alternate(digits, s: int) -> list[int]:
 # -- digit-range reduction ----------------------------------------------
 
 def reduce_digits(w: DigitWord, params: Params) -> DigitWord:
-    """Equal-value word with integer part in {0,1} and digits in {0..k+1}.
+    """Equal-value word with integer part in {0,1} and digits in {0..k+1}."""
+    _require_odd(params)
+    if w.int_part != 0:
+        raise DomainError("digit reduction expects integer part 0")
+    d = list(w.digits)
+    return DigitWord(_reduce(d, params), tuple(d))
+
+
+def _reduce(d: list[int], params: Params) -> int:
+    """Reduce ``d``, read with integer part 0, in place; return the new
+    integer part.
 
     Repeatedly separates big digits, then removes the rightmost digit
     above k+1: that digit c satisfies c/beta = 1 + (c-k-2)/beta +
@@ -151,34 +167,26 @@ def reduce_digits(w: DigitWord, params: Params) -> DigitWord:
     a (k+1) the deposit slides down the small/big alternation until it
     finds a small digit.
     """
-    _require_odd(params)
-    if w.int_part != 0:
-        raise DomainError("digit reduction expects integer part 0")
     k = params.k
-    int_part, d = 0, list(w.digits)
+    int_part = 0
     while True:
-        sep = b_separate(DigitWord(int_part, tuple(d)), params)
-        int_part, d = sep.int_part, list(sep.digits)
+        int_part = _separate(int_part, d, params)
         j = next((i for i in range(len(d) - 1, -1, -1) if d[i] >= k + 2), None)
         if j is None:
-            break
-        c = d[j]
+            return int_part
         if j == 0:
             int_part += 1
         else:
             d[j - 1] += 1
-        d[j] = c - (k + 2)
-        t = 0
-        while _at(d, j + 2 * (t + 1)) == k + 1:
-            t += 1
-        for i in range(1, t + 1):
-            d[j + 2 * i - 1] += 1
-            d[j + 2 * i] -= 1
-        pos = j + 2 * t + 2
+        d[j] -= k + 2
+        pos = j + 2
+        while pos < len(d) and d[pos] == k + 1:
+            d[pos - 1] += 1
+            d[pos] -= 1
+            pos += 2
         if pos >= len(d):
             d += [0] * (pos + 1 - len(d))
         d[pos] += k + 1
-    return DigitWord(int_part, tuple(d))
 
 
 # -- closure operations --------------------------------------------------
@@ -193,10 +201,9 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     limit = params.interval_bound.div_beta()
     if not (word_value(w, params) < limit):
         raise DomainError("value too large: beta * x leaves the expansion interval")
-    w = reduce_digits(w, params)
-    if w.int_part != 0:
-        raise AssertionError(f"reduced word {w!r} has a nonzero integer part")
     d = list(w.digits)
+    if _reduce(d, params) != 0:
+        raise AssertionError(f"the reduced word of {w!r} has a nonzero integer part")
     while d and d[-1] == 0:
         d.pop()
     if not d:
@@ -206,22 +213,22 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     if d[0] != 1:
         raise AssertionError("reduced words below (beta-k)/beta start with 0 or 1")
     rest = d[1:]
-    e2 = _at(rest, 0)
-    if e2 <= k - 1:
+    r = rest + [0, 0]  # every read below stops within two places past the end
+    if r[0] <= k - 1:
         return borrow_T_minus(DigitWord(1, tuple(rest) or (0,)), params)
-    if e2 != k:
+    if r[0] != k:
         raise AssertionError("a second digit k+1 would put the value on the boundary")
     i, blocks = 1, 0
-    while _at(rest, i) == k + 1 and _at(rest, i + 1) == k:
+    while r[i] == k + 1 and r[i + 1] == k:
         blocks += 1
         i += 2
-    nxt = _at(rest, i)
+    nxt = r[i]
     if nxt <= k:
         tail = tuple(rest[i + 1 :])
         return DigitWord(0, (2 * k + 1,) * (2 * blocks + 1) + (nxt + k + 1,) + tail)
     if nxt != k + 1:
         raise AssertionError(f"digit {nxt} after the (k+1)k blocks is out of range")
-    b = _at(rest, i + 1)
+    b = r[i + 1]
     if b > k - 1:
         raise AssertionError("the tail of a below-1 expansion cannot reach (k+1)(k+1)")
     inner = borrow_T_minus(DigitWord(1, (b, *rest[i + 2 :])), params)
@@ -230,26 +237,23 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
 
 def add_words(x: DigitWord, y: DigitWord, params: Params) -> DigitWord:
     """Digit word for value(x) + value(y); fractional digits stay in
-    {0..m}, the integer part may exceed 1."""
+    {0..m}, the integer part may exceed 1.  The digits are reduced, padded
+    and summed on lists; only the result is built as a word."""
     _require_odd(params)
-    k = params.k
-    rx = reduce_digits(DigitWord(0, x.digits), params)
-    ry = reduce_digits(DigitWord(0, y.digits), params)
-    int_acc = x.int_part + y.int_part + rx.int_part + ry.int_part
-    n = max(len(rx.digits), len(ry.digits))
-    z = [_at(rx.digits, j) + _at(ry.digits, j) for j in range(n)]
+    a, b = list(x.digits), list(y.digits)
+    int_part = x.int_part + y.int_part + _reduce(a, params) + _reduce(b, params)
+    a += [0] * (len(b) - len(a))
+    b += [0] * (len(a) - len(b))
     # split each 2k+2 as (2k+1) + 1; the 1s ride along unreduced
-    main = [2 * k + 1 if zj == 2 * k + 2 else zj for zj in z]
-    ones = [1 if zj == 2 * k + 2 else 0 for zj in z]
-    rm = reduce_digits(DigitWord(0, tuple(main)), params)
-    width = max(len(rm.digits), n)
-    digits = tuple(_at(rm.digits, j) + _at(ones, j) for j in range(width))
+    ones = [int(p + q == 2 * params.k + 2) for p, q in zip(a, b)]
+    d = [p + q - o for p, q, o in zip(a, b, ones)]
+    int_part += _reduce(d, params)  # reduction only ever appends digits
+    d = [p + o for p, o in zip(d, ones)] + d[len(ones) :]
     # re-adding the ones can recreate big-big pairs; separate them again
-    out = b_separate(DigitWord(int_acc + rm.int_part, digits), params)
-    trimmed = out.trimmed()
-    if not trimmed.digits:
-        trimmed = DigitWord(trimmed.int_part, (0,))
-    return trimmed
+    int_part = _separate(int_part, d, params)
+    while d and d[-1] == 0:
+        d.pop()
+    return DigitWord(int_part, tuple(d) or (0,))
 
 
 def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:
@@ -264,17 +268,12 @@ def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:
     if w.int_part != 0:
         raise DomainError("division by k+1 expects integer part 0")
     k1 = k + 1
-
-    def i_part(e: int) -> int:
-        return 0 if params.in_small(e) else k1
-
-    def t_part(e: int) -> int:
-        return k1 * e if params.in_small(e) else k1 * (e - k1)
-
-    eps = list(w.digits)
+    eps = [0, 0, *w.digits, 0, 0]  # output digit j reads input digits j-1..j-3
+    iparts = [0 if params.in_small(e) else k1 for e in eps]
+    tparts = [k1 * (e - i) for e, i in zip(eps, iparts)]
     out = []
-    for j in range(1, len(eps) + 3):
-        eta = i_part(_at(eps, j - 1)) + t_part(_at(eps, j - 2)) + t_part(_at(eps, j - 3))
+    for j, (i, t1, t2) in enumerate(zip(iparts[2:], tparts[1:], tparts), start=1):
+        eta = i + t1 + t2
         if eta % k1 != 0:
             raise AssertionError(f"digit {j} of {w!r} divided by k+1 is not an integer")
         out.append(eta // k1)

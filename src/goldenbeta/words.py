@@ -127,17 +127,20 @@ def parse_word(text: str, params: Params) -> Word:
     m = _WORD_RE.match(text.strip())
     if not m:
         raise ParseError(f"malformed word literal: {text!r}")
-    int_part = int(m.group("int"))
-    pre_text = m.group("pre")
-    pre = tuple(int(t) for t in pre_text.split(",")) if pre_text else ()
-    per_text = m.group("per")
-    if per_text is None:
+    pre_text, per_text = m.group("pre"), m.group("per")
+    if per_text is not None:
+        per_text = per_text.lstrip(",")[1:-2]
+        if not per_text:
+            raise ParseError(f"empty period in {text!r}")
+    try:
+        int_part = int(m.group("int"))
+        pre = tuple(int(t) for t in pre_text.split(",")) if pre_text else ()
+        per = None if per_text is None else tuple(int(t) for t in per_text.split(","))
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError("a number in the word literal has too many digits") from None
+    if per is None:
         _check_digits(pre, params, text)
         return DigitWord(int_part, pre)
-    inner = per_text.lstrip(",")[1:-2]
-    if not inner:
-        raise ParseError(f"empty period in {text!r}")
-    per = tuple(int(t) for t in inner.split(","))
     _check_digits(pre + per, params, text)
     return EvPeriodicWord(int_part, pre, per)
 

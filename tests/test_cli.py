@@ -142,13 +142,17 @@ def test_domain_error_exit(capsys):
     (["classify", "1/1000000000000000003"], 3),
     (["classify", "1/3", "--out", "/nonexistent/dir/x.json"], 2),
     (["classify", "1/3", "--out", "."], 2),
+    (["classify", "1/" + "7" * 5000], 3),
+    (["classify", "7" * 5000], 3),
+    (["rewrite", "cr", "0." + "1" * 5000], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
         "enumerate-over-depth-budget", "census-over-depth-budget",
         "rewrite-reduce-periodic", "rewrite-add-periodic", "census-over-window-budget",
         "classify-negative-fraction", "enumerate-negative-fraction",
         "synth-negative-fraction", "negative-k", "classify-over-factoring-budget",
-        "out-missing-directory", "out-is-directory"])
+        "out-missing-directory", "out-is-directory", "classify-long-denominator",
+        "classify-long-integer", "rewrite-long-digit"])
 def test_bad_input_exit_without_traceback(argv, code):
     t0 = time.perf_counter()
     proc = run_process(*argv)
@@ -462,6 +466,16 @@ def test_json_writer_listing_edge_cases():
                 [S("y\u00e9"), Digit.BIG, 2 ** 70]):
         assert _json(obj) == json.dumps(obj, indent=2)
     assert _json([[True]]) == "[\n  [\n    true\n  ]\n]"
+
+
+def test_json_writer_keys():
+    # json.dumps would write the key 1 as "1"; the writer, serving only
+    # str-keyed trees, refuses it rather than write `1: 2`, which is not JSON
+    for obj in ({1: 2}, {"a": {None: 1}}, [{(1, 2): 3}]):
+        with pytest.raises(TypeError):
+            _json(obj)
+    obj = {S("k\u00e9y"): [1, 2], S(""): {S("x"): "y"}}
+    assert _json(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("argv", [

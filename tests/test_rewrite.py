@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldenbeta import rewrite
-from goldenbeta.algebra import DomainError, ODD, make_params
+from goldenbeta import expand, rewrite
+from goldenbeta.algebra import DomainError, FieldElem, ODD, make_params
 from goldenbeta.words import (
     IND_INF,
     MINUS,
@@ -336,7 +336,7 @@ def trade_inputs(draw):
     return params, EvPeriodicWord(int_part, head, pairs(1, 2))
 
 
-def _trade_outcome(fn, w, params):
+def _outcome(fn, w, params):
     try:
         return fn(w, params)
     except DomainError as exc:
@@ -347,8 +347,8 @@ def _trade_outcome(fn, w, params):
 @given(trade_inputs())
 def test_trade_matches_reference(case):
     params, w = case
-    assert _trade_outcome(carry_T_plus, w, params) == _trade_outcome(ref_carry_T_plus, w, params)
-    assert _trade_outcome(borrow_T_minus, w, params) == _trade_outcome(ref_borrow_T_minus, w, params)
+    assert _outcome(carry_T_plus, w, params) == _outcome(ref_carry_T_plus, w, params)
+    assert _outcome(borrow_T_minus, w, params) == _outcome(ref_borrow_T_minus, w, params)
 
 
 @settings(max_examples=400, deadline=None)
@@ -361,7 +361,7 @@ def test_trade_reads_finite_word_as_period_zero(case):
     finite = DigitWord(w.int_part, digits)
     periodic = EvPeriodicWord(w.int_part, digits, (0,))
     for fn in (carry_T_plus, borrow_T_minus):
-        a, b = _trade_outcome(fn, finite, params), _trade_outcome(fn, periodic, params)
+        a, b = _outcome(fn, finite, params), _outcome(fn, periodic, params)
         if isinstance(a, str):
             assert a == b
         else:
@@ -462,6 +462,151 @@ def test_div_random():
             assert out.is_valid(params)
             want = word_value(w, params) / (params.k + 1)
             assert (word_value(out, params) - want).is_zero()
+
+
+# -- the list kernels against the word-by-word forms they replaced ----------
+
+# Big-digit separation as cr_step iterated to its fixpoint, each step a
+# rescan from position 0 that builds a new word, and reduce_digits and
+# add_words as they ran through words, reading past either end of a digit
+# tuple through ``ref_at``: the reference for the in-place list kernels.
+
+def ref_at(seq, i):
+    return seq[i] if 0 <= i < len(seq) else 0
+
+
+def ref_cr_step(w, params, steps=None):
+    k = params.k
+    d = list(w.digits)
+    for l in range(len(d) - 1):
+        if params.in_big(d[l]) and params.in_big(d[l + 1]):
+            int_part = w.int_part
+            if l == 0:
+                int_part += 1
+            else:
+                d[l - 1] += 1
+            d[l] -= k + 1
+            d[l + 1] -= k + 1
+            if steps is not None:
+                steps.append(("carry-pair", l + 1))
+            return DigitWord(int_part, tuple(d))
+    return w
+
+
+def ref_b_separate(w, params, steps=None):
+    while True:
+        nxt = ref_cr_step(w, params, steps)
+        if nxt == w:
+            return w
+        w = nxt
+
+
+def ref_reduce_digits(w, params):
+    if w.int_part != 0:
+        raise DomainError("digit reduction expects integer part 0")
+    k = params.k
+    int_part, d = 0, list(w.digits)
+    while True:
+        sep = ref_b_separate(DigitWord(int_part, tuple(d)), params)
+        int_part, d = sep.int_part, list(sep.digits)
+        j = next((i for i in range(len(d) - 1, -1, -1) if d[i] >= k + 2), None)
+        if j is None:
+            break
+        c = d[j]
+        if j == 0:
+            int_part += 1
+        else:
+            d[j - 1] += 1
+        d[j] = c - (k + 2)
+        t = 0
+        while ref_at(d, j + 2 * (t + 1)) == k + 1:
+            t += 1
+        for i in range(1, t + 1):
+            d[j + 2 * i - 1] += 1
+            d[j + 2 * i] -= 1
+        pos = j + 2 * t + 2
+        if pos >= len(d):
+            d += [0] * (pos + 1 - len(d))
+        d[pos] += k + 1
+    return DigitWord(int_part, tuple(d))
+
+
+def ref_add_words(x, y, params):
+    k = params.k
+    rx = ref_reduce_digits(DigitWord(0, x.digits), params)
+    ry = ref_reduce_digits(DigitWord(0, y.digits), params)
+    int_acc = x.int_part + y.int_part + rx.int_part + ry.int_part
+    n = max(len(rx.digits), len(ry.digits))
+    z = [ref_at(rx.digits, j) + ref_at(ry.digits, j) for j in range(n)]
+    main = [2 * k + 1 if zj == 2 * k + 2 else zj for zj in z]
+    ones = [1 if zj == 2 * k + 2 else 0 for zj in z]
+    rm = ref_reduce_digits(DigitWord(0, tuple(main)), params)
+    width = max(len(rm.digits), n)
+    digits = tuple(ref_at(rm.digits, j) + ref_at(ones, j) for j in range(width))
+    out = ref_b_separate(DigitWord(int_acc + rm.int_part, digits), params)
+    trimmed = out.trimmed()
+    if not trimmed.digits:
+        trimmed = DigitWord(trimmed.int_part, (0,))
+    return trimmed
+
+
+@st.composite
+def kernel_words(draw, n=1):
+    """A system k = 1..4 and n words with integer part 0..2 and up to 16
+    digits in -1..m+2, past both ends of the digit range."""
+    params = make_params(draw(st.integers(1, 4)), ODD)
+    digits = st.lists(st.integers(-1, params.m + 2), max_size=16).map(tuple)
+    return params, *(DigitWord(draw(st.integers(0, 2)), draw(digits)) for _ in range(n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_words())
+def test_separate_matches_reference(case):
+    params, w = case
+    assert cr_step(w, params) == ref_cr_step(w, params)
+    steps, ref_steps = [], []
+    assert b_separate(w, params, steps) == ref_b_separate(w, params, ref_steps)
+    assert steps == ref_steps
+
+
+def test_separate_resumes_two_places_left():
+    # each carry makes the pair two places left of it big-big: the steps
+    # run right to left, and a scan that resumed at the carry would miss them
+    steps = []
+    assert b_separate(w1("0.2,1,3,1,2,3"), P1, steps) == w1("1.0,0,1,0,0,1")
+    assert steps == [("carry-pair", 5), ("carry-pair", 3), ("carry-pair", 1)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_words())
+def test_reduce_matches_reference(case):
+    params, w = case
+    assert _outcome(reduce_digits, w, params) == _outcome(ref_reduce_digits, w, params)
+    w = DigitWord(0, w.digits)
+    assert reduce_digits(w, params) == ref_reduce_digits(w, params)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_words(n=2))
+def test_add_matches_reference(case):
+    params, x, y = case
+    assert add_words(x, y, params) == ref_add_words(x, y, params)
+
+
+def test_construct_route_matches_reference(monkeypatch):
+    # the rewrite benchmark's synthesis windows: (p*beta+q)/r with r in
+    # 1..(k+1)^3, |p| <= 8 and |q| <= 8, for k = 1..3
+    points = []
+    for k in (1, 2, 3):
+        params = make_params(k, ODD)
+        window = {FieldElem(params, p, q, r): None
+                  for r in (1, k + 1, (k + 1) ** 2, (k + 1) ** 3)
+                  for p in range(-8, 9) for q in range(-8, 9)}
+        points += [x for x in window if x.sign() > 0 and x < params.interval_bound]
+    built = [expand.construct_route(x, x.params) for x in points]
+    assert sum(w is not None for w in built) > 100
+    monkeypatch.setattr(rewrite, "add_words", ref_add_words)
+    assert built == [expand.construct_route(x, x.params) for x in points]
 
 
 # -- trace plumbing --------------------------------------------------------
