@@ -12,6 +12,11 @@ function json itself uses for it; other shapes take its general path.
 Census finds its window's points on integer triples and builds a field
 element only for each point it keeps.
 
+argv is parsed once: when its first word names a command, ``main`` hands
+the rest to that command's parser and reports leftover words through the
+top-level parser, as ``parse_args`` would; any other argv (empty, ``-h``,
+``--``, an unknown word) goes to the top-level parser.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out path that cannot be written), 3 domain error.
 """
@@ -203,8 +208,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-@cache  # parse_args leaves the parser unchanged, so in-process callers share one
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # parse_args leaves the parsers unchanged, so in-process callers share them
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers, by command name."""
     top = _Parser(
         prog="goldenbeta",
         description="Exact expansion analysis in generalized golden ratio bases.",
@@ -247,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("verify", help="run the self-check suite"))
     p.add_argument("--level", choices=verify.LEVELS, default="fast")
     p.add_argument("--seed", type=int, default=0)
-    return top
+    return top, sub.choices
 
 
 def _run(args) -> int:
@@ -312,7 +318,16 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = _build_parser()
+    if argv and argv[0] in commands:
+        # what top.parse_args does with this argv, without its own pass over it
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            top.error("unrecognized arguments: %s" % " ".join(extras))
+    else:
+        args = top.parse_args(argv)
     try:
         return _run(args)
     except (DomainError, ParameterError, ParseError) as exc:

@@ -87,6 +87,11 @@ LISTING_BUDGET = 2 ** 23
 DEPTH_BUDGET = 4096
 # Most remainders ``synth_finite`` searches before giving up.
 NODE_BUDGET = 2_000_000
+# Most bits of a denominator ``synth_finite`` searches over: each step's work
+# grows with the bits its remainders carry, which ``NODE_BUDGET`` does not
+# count (``classify 1/2^n`` at k = 1 on a 2-core VM: n = 2000 took about
+# 0.9 s, 4000 3.7 s, 8000 20 s).
+DENOMINATOR_BITS_BUDGET = 2048
 # Most word additions ``construct_route`` makes before giving up.
 TERM_BUDGET = 20_000
 # Most remainder-graph states the cache keeps between calls, over all graphs,
@@ -342,6 +347,9 @@ def synth_finite(x: FieldElem, params: Params) -> DigitWord:
     the shortest paths from x to the state 0, by breadth-first search over
     x's remainder graph (finite, so the search always halts)."""
     _refuse_nonmember(x, params)
+    if x.r.bit_length() > DENOMINATOR_BITS_BUDGET:
+        raise DomainError(f"denominator of {x.r.bit_length()} bits is over the "
+                          f"denominator budget of {DENOMINATOR_BITS_BUDGET} bits")
     g, root = _graph(x, params)
     edges = g.edges
     seen = {root}

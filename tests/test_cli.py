@@ -1,14 +1,17 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from functools import cmp_to_key
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +148,8 @@ def test_domain_error_exit(capsys):
     (["classify", "1/" + "7" * 5000], 3),
     (["classify", "7" * 5000], 3),
     (["rewrite", "cr", "0." + "1" * 5000], 3),
+    (["classify", f"1/{2 ** 13000}"], 3),
+    (["synth", f"3/{2 ** 13000}"], 3),
 ], ids=["zero-denominator", "negative-depth", "depths-not-integers", "depths-negative",
         "ones-negative-depth", "enumerate-over-budget", "ones-over-depth-budget",
         "enumerate-over-depth-budget", "census-over-depth-budget",
@@ -152,7 +157,8 @@ def test_domain_error_exit(capsys):
         "classify-negative-fraction", "enumerate-negative-fraction",
         "synth-negative-fraction", "negative-k", "classify-over-factoring-budget",
         "out-missing-directory", "out-is-directory", "classify-long-denominator",
-        "classify-long-integer", "rewrite-long-digit"])
+        "classify-long-integer", "rewrite-long-digit", "classify-huge-power-denominator",
+        "synth-huge-power-denominator"])
 def test_bad_input_exit_without_traceback(argv, code):
     t0 = time.perf_counter()
     proc = run_process(*argv)
@@ -278,6 +284,79 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+
+
+def _parse_outcome(parse, argv):
+    """Exit code (None when parsing returned), stdout, stderr and the
+    namespace's items, in order, of one parse of ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            items, code = list(vars(parse(list(argv))).items()), None
+        except SystemExit as exc:
+            items, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), items
+
+
+def _main_parse(argv):
+    """The namespace ``main`` hands to the command it runs."""
+    seen = []
+    with mock.patch.object(goldenbeta.cli, "_run", lambda args: seen.append(args) or 0):
+        assert main(argv) == 0
+    return seen[0]
+
+
+_ARGVS = [
+    # every command
+    ["classify", "1/2"], ["enumerate", "1/3", "--depth", "4"], ["ones"],
+    ["synth", "1/2", "--route", "construct"], ["rewrite", "add", "0.1", "0.2,1"],
+    ["census"], ["verify", "--level", "full", "--seed", "3"],
+    # options before and after positionals, --opt=value, abbreviations, repeats
+    ["classify", "--k", "2", "--parity", "even", "1/3"], ["classify", "1/3", "--k", "2"],
+    ["enumerate", "--depth=5", "1/3", "--out=x.json"], ["census", "--depths=6,12"],
+    ["census", "--den", "2", "--num", "1", "--dep", "3", "--form", "csv"],
+    ["census", "--de", "2"], ["classify", "1/2", "--k", "2", "--k", "3"],
+    ["rewrite", "--parity", "even", "carry", "0.3,0,3", "--k", "1"],
+    # negative literals with and without --, and -- before the command
+    ["classify", "-1/2"], ["classify", "--", "-1/2"], ["classify", "--k", "2", "--", "-1/2"],
+    ["enumerate", "-.5", "--depth", "-3"], ["classify", "--k", "-1", "1/2"],
+    ["rewrite", "add", "--", "-1.0", "0.1"], ["classify", "--", "1/2", "--k"],
+    ["--", "census"], ["--", "classify", "1/2"], ["--", "-1/2"], ["--"],
+    # help at both levels
+    [], ["-h"], ["--help"], ["-h", "census"], ["census", "-h"], ["classify", "1/2", "--help"],
+    ["census", "--he"], ["rewrite", "-h", "carry"],
+    # missing and extra positionals, bad ints and bad choices
+    ["classify"], ["classify", "1/2", "1/3"], ["rewrite", "carry"], ["ones", "1"],
+    ["census", "--k", "x"], ["census", "--depths", "6,x"], ["census", "--format", "xml"],
+    ["synth", "1/2", "--route", "walk"], ["rewrite", "nosuch", "0.1"], ["nosuch"],
+    ["cen"], ["verify", "--level", "slow"], ["enumerate", "1/3", "--depth"],
+    # unknown options at both levels
+    ["--bogus"], ["--bogus", "census"], ["census", "--bogus"],
+    ["census", "--bogus", "x", "-z"], ["classify", "1/2", "--bogus=3"], ["ones", "-x1"],
+    ["census", "--", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+def test_main_parses_as_parse_args(argv):
+    # main hands argv[0]'s parser the rest when argv[0] names a command;
+    # the top-level parse_args it bypasses is the reference
+    top, _ = goldenbeta.cli._build_parser()
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(top.parse_args, argv)
+
+
+@given(st.lists(st.sampled_from(sorted({t for argv in _ARGVS for t in argv})), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_main_parses_as_parse_args_on_drawn_argvs(argv):
+    top, _ = goldenbeta.cli._build_parser()
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(top.parse_args, argv)
+
+
+def test_unknown_option_after_command_is_a_top_level_error():
+    code, out, err, _ = _parse_outcome(_main_parse, ["census", "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: goldenbeta [-h]")
+    assert err.splitlines()[-1] == "goldenbeta: error: unrecognized arguments: --bogus"
 
 
 def test_verify_fast(capsys):

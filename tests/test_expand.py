@@ -167,6 +167,22 @@ def test_synth_refuses_nonmember():
         synth_finite(parse_field("1/3", P1), P1)
 
 
+@pytest.mark.parametrize("k, numerator", [(1, "1"), (2, "(1+1*b)")])
+def test_synth_denominator_budget(k, numerator):
+    # the largest power of k+1 the budget admits still gets a certificate
+    # that evaluates back to x; one more factor is refused before the search
+    params = make_params(k, ODD)
+    n = 0
+    while ((k + 1) ** (n + 1)).bit_length() <= expand.DENOMINATOR_BITS_BUDGET:
+        n += 1
+    x = parse_field(f"{numerator}/{(k + 1) ** n}", params)
+    assert x.r == (k + 1) ** n
+    assert word_value(synth_finite(x, params), params) == x
+    over = parse_field(f"{numerator}/{(k + 1) ** (n + 1)}", params)
+    with pytest.raises(DomainError, match="over the denominator budget"):
+        synth_finite(over, params)
+
+
 def test_inv_power():
     assert expansion_of_inv_power(0, P1) == DigitWord(0, (2, 2))
     assert expansion_of_inv_power(1, P1) == DigitWord(0, (1, 1, 0, 0))
