@@ -252,12 +252,8 @@ class FieldElem:
         return f"FieldElem({format_field(self)!r}, k={self.params.k}, {self.params.parity})"
 
 
-IN_S, NOT_IN_S = "InS", "NotInS"
-IN_F, NOT_IN_F = "InF", "NotInF"
-
-
-def fe_membership(x: FieldElem) -> str:
-    """Decide whether x is (p*beta+q)/(k+1)^n for some integers p, q, n.
+def fe_membership(x: FieldElem) -> bool:
+    """Whether x is (p*beta+q)/(k+1)^n for some integers p, q, n.
 
     After reduction this holds exactly when every prime factor of the
     denominator divides k+1.  Only defined strictly inside the expansion
@@ -266,10 +262,7 @@ def fe_membership(x: FieldElem) -> str:
     params = x.params
     if x.sign() <= 0 or x >= params.interval_bound:
         raise DomainError("membership is defined on the open expansion interval")
-    member = split_denominator(x.r, params.k + 1)[1] == 1
-    if params.parity == ODD:
-        return IN_S if member else NOT_IN_S
-    return IN_F if member else NOT_IN_F
+    return split_denominator(x.r, params.k + 1)[1] == 1
 
 
 def split_denominator(r: int, base: int) -> tuple[int, int]:

@@ -49,7 +49,7 @@ from .words import ParseError, format_word, parse_word
 from . import expand, rewrite, verify
 
 
-def _payload(params: Params, input_repr, result, certificate=None) -> dict:
+def _payload(params: Params, input_repr, result, certificate) -> dict:
     return {
         "params": {"k": params.k, "parity": params.parity},
         "input": input_repr,
@@ -258,63 +258,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _run(args) -> int:
     params = make_params(args.k, args.parity)
-
-    if args.command == "classify":
-        x = parse_field(args.x, params)
-        c = expand.classify(x, params)
-        _emit_json(_payload(params, args.x, c.verdict, _certificate_json(c)), args.out)
-        return 0
-
-    if args.command == "enumerate":
-        x = parse_field(args.x, params)
-        tree = expand.enumerate_prefixes(x, args.depth, params)
-        prefixes = tree.prefixes_at()
-        result = {"depth": args.depth, "count": len(prefixes), "prefixes": prefixes}
-        _emit_json(_payload(params, args.x, result), args.out)
-        return 0
-
-    if args.command == "ones":
-        words = expand.expansions_of_one(args.depth, params)
-        result = [format_word(w) for w in words]
-        _emit_json(_payload(params, "1", result), args.out)
-        return 0
-
-    if args.command == "synth":
-        x = parse_field(args.x, params)
-        if args.route == "construct":
-            w = expand.synth_finite_constructive(x, params)
-        else:
-            w = expand.synth_finite(x, params)
-        _emit_json(_payload(params, args.x, format_word(w), format_word(w)), args.out)
-        return 0
-
-    if args.command == "rewrite":
-        words = [parse_word(t, params) for t in args.words]
-        trace = rewrite.apply_rule(args.rule, params, *words)
-        result = format_word(trace.output)
-        cert = {
-            "value": format_field(trace.value),
-            "steps": [list(s) for s in trace.steps],
-        }
-        _emit_json(_payload(params, args.words, result, cert), args.out)
-        return 0
-
-    if args.command == "census":
-        rows = census_sweep(params, args.den_bound, args.num_bound, args.depths)
-        if args.format == "csv":
-            _emit(_census_csv(rows), args.out)
-        else:
-            _emit_json(_payload(params, {"den_bound": args.den_bound,
-                                         "num_bound": args.num_bound,
-                                         "depths": args.depths}, rows), args.out)
-        return 0
-
-    if args.command == "verify":
+    command, cert = args.command, None
+    if command == "verify":
         report = verify.verify_suite(args.level, args.seed)
         _emit_json(report, args.out)
         return 0 if report["passed"] else 1
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if command in ("classify", "enumerate", "synth"):
+        given = args.x
+        x = parse_field(given, params)
+    if command == "classify":
+        c = expand.classify(x, params)
+        result, cert = c.verdict, _certificate_json(c)
+    elif command == "enumerate":
+        prefixes = expand.enumerate_prefixes(x, args.depth, params).prefixes_at()
+        result = {"depth": args.depth, "count": len(prefixes), "prefixes": prefixes}
+    elif command == "ones":
+        given = "1"
+        result = [format_word(w) for w in expand.expansions_of_one(args.depth, params)]
+    elif command == "synth":
+        synth = expand.synth_finite if args.route == "search" else expand.synth_finite_constructive
+        result = cert = format_word(synth(x, params))
+    elif command == "rewrite":
+        given = args.words
+        trace = rewrite.apply_rule(args.rule, params, *[parse_word(t, params) for t in given])
+        result = format_word(trace.output)
+        cert = {"value": format_field(trace.value), "steps": [list(s) for s in trace.steps]}
+    else:  # census
+        rows = census_sweep(params, args.den_bound, args.num_bound, args.depths)
+        if args.format == "csv":
+            _emit(_census_csv(rows), args.out)
+            return 0
+        given = {"den_bound": args.den_bound, "num_bound": args.num_bound, "depths": args.depths}
+        result = rows
+    _emit_json(_payload(params, given, result, cert), args.out)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -42,8 +42,6 @@ import threading
 from dataclasses import dataclass, field
 
 from .algebra import (
-    IN_F,
-    IN_S,
     ODD,
     DomainError,
     FieldElem,
@@ -309,7 +307,7 @@ def enumerate_prefixes(x: FieldElem, depth: int, params: Params) -> PrefixTree:
     """The valid prefixes of x up to ``depth``: the number at every depth,
     counted as paths over the remainder graph, and the graph to list them."""
     _check_depth(depth)
-    _refuse_outside(x, params)
+    _endpoint(x, params)
     g, root = _graph(x, params)
     edges = g.edges
     layer = {root: 1}  # paths of the current length, by end state
@@ -385,8 +383,8 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
     """Constructive synthesis through the F-sequence decomposition.
 
     Writes x = (p*beta+q)/(k+1)^n, decomposes p greedily over the F_i, and
-    assembles the nonnegative terms n_i/(beta^i (k+1)^(n-i)) plus
-    M/(k+1)^n by repeated word addition.  Returns None when the assembly
+    assembles M/(k+1)^n and then the terms n_i/(beta^i (k+1)^(n-i)), all
+    nonnegative, by repeated word addition.  Returns None when the assembly
     would need a negative term (the subtraction step the construction
     does not supply) or grows past ``TERM_BUDGET`` additions.
     """
@@ -402,24 +400,14 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
     coeffs = decompose_F(k, p).coeffs
     seq = f_seq(k, len(coeffs) + 2)
     M = sum(c * seq[i + 1] for i, c in enumerate(coeffs)) + q
-    if M < 0:
-        return None
-    terms: list[tuple[int, int, int]] = []  # (count, shift, inverse power)
+    terms = [(M, 0, n)]  # (count, shift, inverse power), M/(k+1)^n first
     for i, ni in enumerate(coeffs, start=1):
-        if ni == 0:
-            continue
-        signed = ni if i % 2 == 1 else -ni
-        if signed < 0:
-            return None
         e = n - i
-        count = signed * (k1 ** max(-e, 0))
-        terms.append((count, i, max(e, 0)))
-    if M + sum(c for c, _, _ in terms) > TERM_BUDGET:
+        terms.append(((ni if i % 2 == 1 else -ni) * k1 ** max(-e, 0), i, max(e, 0)))
+    counts = [c for c, _, _ in terms]
+    if min(counts) < 0 or sum(counts) > TERM_BUDGET:
         return None
     acc = DigitWord(0, ())
-    base = expansion_of_inv_power(n, params)
-    for _ in range(M):
-        acc = rewrite.add_words(acc, base, params)
     for count, shift, e in terms:
         piece = expansion_of_inv_power(e, params)
         piece = DigitWord(0, (0,) * shift + piece.digits)
@@ -439,17 +427,23 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
     return acc
 
 
-def _refuse_outside(x: FieldElem, params: Params) -> None:
-    if x.sign() < 0 or x > params.interval_bound:
+def _endpoint(x: FieldElem, params: Params) -> str | None:
+    """Where x lies in [0, m/(beta-1)]: the tag ``"0"`` or ``"m"`` of the end
+    it is, ``None`` inside; outside, a ``DomainError``."""
+    s = x.sign()
+    top = x.compare(params.interval_bound)
+    if s < 0 or top > 0:
         raise DomainError("x outside the expansion interval")
+    if s == 0:
+        return "0"
+    return "m" if top == 0 else None
 
 
 def _refuse_nonmember(x: FieldElem, params: Params) -> None:
-    _refuse_outside(x, params)
-    if x.is_zero() or x.compare(params.interval_bound) == 0:
+    if _endpoint(x, params) is not None:
         raise DomainError(f"x = {format_field(x)} is an endpoint of the expansion "
                           "interval; synthesis refused")
-    if fe_membership(x) not in (IN_S, IN_F):
+    if not fe_membership(x):
         raise DomainError("x has no finite expansion; synthesis refused")
 
 
@@ -466,15 +460,10 @@ def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
 
 
 def classify(x: FieldElem, params: Params) -> Classification:
-    s = x.sign()
-    top = x.compare(params.interval_bound)
-    if s < 0 or top > 0:
-        raise DomainError("x outside the closed expansion interval")
-    if s == 0:
-        return Classification(UNIQUE_ENDPOINT, "0")
-    if top == 0:
-        return Classification(UNIQUE_ENDPOINT, "m")
-    if fe_membership(x) in (IN_S, IN_F):
+    end = _endpoint(x, params)
+    if end is not None:
+        return Classification(UNIQUE_ENDPOINT, end)
+    if fe_membership(x):
         return Classification(COUNTABLY_INFINITE, synth_finite(x, params))
     return Classification(CONTINUUM, (x.r, _offending_prime(x.r, params.k + 1)))
 
@@ -506,8 +495,8 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
     _check_depth(depth)
     if budget < 0:
         raise DomainError("budget must be nonnegative")
-    _refuse_outside(x, params)
-    if fe_membership(x) in (IN_S, IN_F):
+    _endpoint(x, params)  # an end is refused by fe_membership's own guard
+    if fe_membership(x):
         raise DomainError("branch witnesses are for points without finite expansions")
     target = min(budget, 2 ** (depth // 3))
     g, root = _graph(x, params)

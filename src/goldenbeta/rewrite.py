@@ -62,12 +62,12 @@ def _separate(int_part: int, d: list[int], params: Params, steps=None, limit=Non
     return int_part
 
 
-def cr_step(w: DigitWord, params: Params, _steps=None) -> DigitWord:
+def cr_step(w: DigitWord, params: Params) -> DigitWord:
     """One leftmost carry: the first big-big digit pair (positions l, l+1)
     becomes (+1 into position l-1, both big digits dropped by k+1)."""
     _require_odd(params)
     d = list(w.digits)
-    return DigitWord(_separate(w.int_part, d, params, _steps, 1), tuple(d))
+    return DigitWord(_separate(w.int_part, d, params, limit=1), tuple(d))
 
 
 def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from fractions import Fraction
+from math import gcd
 
 from .algebra import (
     EVEN,
-    IN_F,
-    IN_S,
     ODD,
     FieldElem,
     Params,
@@ -196,7 +194,7 @@ def _sample_nonmembers_k1(rng, params, count=200):
         x = FieldElem(params, p, q, den)
         if x.sign() <= 0 or x >= params.interval_bound:
             continue
-        if fe_membership(x) in (IN_S, IN_F):
+        if fe_membership(x):
             continue
         out.append(x)
     return out
@@ -254,7 +252,7 @@ def check_even_parity(rng, n_max=6):
         for n in range(n_max + 1):
             den = base ** n
             for p in range(1, 2 * den):
-                if Fraction(p, den).denominator != den:
+                if gcd(p, den) != 1:
                     continue
                 x = params.from_rational(p, den)
                 c = expand.classify(x, params)

@@ -1,6 +1,7 @@
 """Enumeration, synthesis, classification, branch witnesses."""
 
 import logging
+import re
 import sys
 import threading
 from unittest import mock
@@ -9,20 +10,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from goldenbeta import expand
+from goldenbeta import expand, rewrite
 from goldenbeta.algebra import (
     EVEN,
-    IN_F,
-    IN_S,
     ODD,
     DomainError,
     FieldElem,
     fe_membership,
+    format_field,
     make_params,
     parse_field,
     sign_pq,
+    split_denominator,
     times_beta,
 )
+from goldenbeta.fseq import decompose_F, f_seq
 from goldenbeta.words import DigitWord, word_value
 from goldenbeta.expand import (
     CONTINUUM,
@@ -237,6 +239,73 @@ def test_cross_route_agreement():
     assert count >= 30
 
 
+def ref_construct_route(x, params):
+    """Reference: ``construct_route`` with M/(k+1)^n added in its own loop
+    first and zero F-coefficients skipped."""
+    if params.parity != ODD:
+        return None
+    k = params.k
+    k1 = k + 1
+    n, c = split_denominator(x.r, k1)
+    if c != 1 or n > 64:
+        return None
+    scale = k1 ** n // x.r
+    p, q = x.p * scale, x.q * scale
+    coeffs = decompose_F(k, p).coeffs
+    seq = f_seq(k, len(coeffs) + 2)
+    M = sum(c * seq[i + 1] for i, c in enumerate(coeffs)) + q
+    if M < 0:
+        return None
+    terms = []
+    for i, ni in enumerate(coeffs, start=1):
+        if ni == 0:
+            continue
+        signed = ni if i % 2 == 1 else -ni
+        if signed < 0:
+            return None
+        e = n - i
+        count = signed * (k1 ** max(-e, 0))
+        terms.append((count, i, max(e, 0)))
+    if M + sum(c for c, _, _ in terms) > expand.TERM_BUDGET:
+        return None
+    acc = DigitWord(0, ())
+    base = expansion_of_inv_power(n, params)
+    for _ in range(M):
+        acc = rewrite.add_words(acc, base, params)
+    for count, shift, e in terms:
+        piece = expansion_of_inv_power(e, params)
+        piece = DigitWord(0, (0,) * shift + piece.digits)
+        for _ in range(count):
+            acc = rewrite.add_words(acc, piece, params)
+    while acc.int_part > 0:
+        try:
+            acc = rewrite.borrow_T_minus(acc, params)
+        except DomainError:
+            return None
+    assert word_value(acc, params) == x
+    return acc
+
+
+@pytest.mark.parametrize("budget", [None, 6])
+def test_construct_route_matches_reference(budget, monkeypatch):
+    # every interior (p*beta+q)/(k+1)^n with |p|, |q| <= 12 and n <= 4, at the
+    # default term budget and at one that turns most points away
+    if budget is not None:
+        monkeypatch.setattr(expand, "TERM_BUDGET", budget)
+    words = nones = 0
+    for k in range(1, 5):
+        params = make_params(k, ODD)
+        xs = {FieldElem(params, p, q, (k + 1) ** n)
+              for n in range(5) for p in range(-12, 13) for q in range(-12, 13)}
+        for x in xs:
+            if x.sign() > 0 and x < params.interval_bound:
+                w = construct_route(x, params)
+                assert w == ref_construct_route(x, params), format_field(x)
+                words += w is not None
+                nones += w is None
+    assert words and nones
+
+
 # -- classification --------------------------------------------------------
 
 def test_classify_examples():
@@ -258,6 +327,29 @@ def test_classify_endpoints():
     assert classify(P1.interval_bound, P1).verdict == UNIQUE_ENDPOINT
     with pytest.raises(DomainError):
         classify(P1.from_int(2), P1)
+
+
+@pytest.mark.parametrize("params", [make_params(k, parity) for parity in (ODD, EVEN)
+                                    for k in (1, 2)], ids=lambda p: f"k{p.k}-{p.parity}")
+def test_interval_gate(params):
+    # every entry refuses a point outside [0, m/(beta-1)] with one message,
+    # and keeps its own answer at each end of the interval
+    top = params.interval_bound
+    entries = (classify, lambda x, params: enumerate_prefixes(x, 3, params), synth_finite,
+               synth_finite_constructive, lambda x, params: branch_witness(x, 6, 4, params))
+    for x in (params.from_int(-1), top + params.from_rational(1, 1000)):
+        for entry in entries:
+            with pytest.raises(DomainError, match=r"^x outside the expansion interval$"):
+                entry(x, params)
+    for x, tag, digit in ((params.zero, "0", 0), (top, "m", params.m)):
+        assert classify(x, params) == expand.Classification(UNIQUE_ENDPOINT, tag)
+        assert enumerate_prefixes(x, 3, params).prefixes_at() == [(digit,) * 3]
+        refusal = re.escape(f"x = {format_field(x)} is an endpoint")
+        for synth in (synth_finite, synth_finite_constructive):
+            with pytest.raises(DomainError, match=refusal):
+                synth(x, params)
+        with pytest.raises(DomainError):
+            branch_witness(x, 6, 4, params)
 
 
 def test_classify_certificate_roundtrip():
@@ -345,7 +437,7 @@ def points(draw, members):
               if x.sign() > 0 and x < params.interval_bound]
     assume(inside)
     x = draw(st.sampled_from(inside))
-    assume((fe_membership(x) in (IN_S, IN_F)) == members)
+    assume(fe_membership(x) == members)
     return x, params
 
 
@@ -495,7 +587,7 @@ def queries(x, params):
     finite word or the branch witnesses."""
     tree = enumerate_prefixes(x, 2 * expand._TAIL + 2, params)
     listed = [tree.prefixes_at(d) for d in range(tree.depth + 1)]
-    if fe_membership(x) in (IN_S, IN_F):
+    if fe_membership(x):
         found = synth_finite(x, params)
     else:
         found = branch_witness(x, 12, 32, params)
