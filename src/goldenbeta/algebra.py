@@ -7,13 +7,15 @@ m = 2k the base is the integer k+1 and the field degenerates to Q.
 Every element is stored as (p*beta + q)/r with integers p, q and a positive
 denominator r, reduced so gcd(p, q, r) = 1.  All comparisons are decided by
 integer case analysis on the sign of u + v*sqrt(D); nothing in this module
-touches floating point.
+touches floating point.  ``census_elements`` lists the points of a window
+of such triples, deciding on the integers alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from math import gcd, isqrt
 
 ODD = "odd"
@@ -276,6 +278,41 @@ def split_denominator(r: int, base: int) -> tuple[int, int]:
         n += 1
         g = gcd(c, base)
     return n, c
+
+
+# -- census window -------------------------------------------------------
+
+# Most candidate (p, q, r) triples a census window may hold.
+CENSUS_WINDOW_BUDGET = 250_000
+
+
+def census_elements(params: Params, den_bound: int, num_bound: int) -> list[FieldElem]:
+    """Canonical field elements strictly inside the expansion interval with
+    denominator <= den_bound and |p|, |q| <= num_bound, sorted by value.
+    A window of more than ``CENSUS_WINDOW_BUDGET`` candidate triples is
+    refused before any element is built.
+
+    Everything is decided on the integer triples (p, q, r).  Each value in
+    the window has exactly one reduced triple there (beta is irrational in
+    odd parity, and p = 0 in even parity), so the points are the triples
+    with gcd(p, q, r) = 1.  A triple is interior when p*beta + q and
+    r*(tp*beta + tq) - (p*beta + q) are positive, for the interval bound
+    tp*beta + tq (its denominator is 1), and triples are sorted by the sign
+    of their cross-products; a ``FieldElem`` is built only for each
+    survivor."""
+    q_range = range(-num_bound, num_bound + 1)
+    p_range = q_range if params.parity == ODD else (0,)
+    window = max(den_bound, 0) * len(p_range) * len(q_range)
+    if window > CENSUS_WINDOW_BUDGET:
+        raise DomainError(f"census window of {window} candidates is over the "
+                          f"window budget of {CENSUS_WINDOW_BUDGET}")
+    tp, tq = params.interval_bound.p, params.interval_bound.q  # over r = 1
+    triples = [(p, q, r) for r in range(1, den_bound + 1) for p in p_range for q in q_range
+               if gcd(p, q, r) == 1 and sign_pq(p, q, params) > 0
+               and sign_pq(tp * r - p, tq * r - q, params) > 0]
+    triples.sort(key=cmp_to_key(lambda a, b: sign_pq(a[0] * b[2] - b[0] * a[2],
+                                                     a[1] * b[2] - b[1] * a[2], params)))
+    return [FieldElem(params, p, q, r) for p, q, r in triples]
 
 
 # -- text literals -------------------------------------------------------

@@ -9,8 +9,7 @@ what the standard ``json`` module writes with ``indent=2``, followed by a
 newline.  The writer formats a prefix listing (int rows of one length)
 through one ``%d`` row template and writes a str or int leaf with the
 function json itself uses for it; other shapes take its general path.
-Census finds its window's points on integer triples and builds a field
-element only for each point it keeps.
+Census takes its window's points from ``algebra.census_elements``.
 
 argv is parsed once: when its first word names a command, ``main`` hands
 the rest to that command's parser and reports leftover words through the
@@ -29,9 +28,8 @@ import io
 import json
 import re
 import sys
-from functools import cache, cmp_to_key
+from functools import cache
 from itertools import chain
-from math import gcd
 
 from .algebra import (
     EVEN,
@@ -40,10 +38,10 @@ from .algebra import (
     FieldElem,
     ParameterError,
     Params,
+    census_elements,
     format_field,
     make_params,
     parse_field,
-    sign_pq,
 )
 from .words import ParseError, format_word, parse_word
 from . import expand, rewrite, verify
@@ -122,39 +120,6 @@ def _certificate_json(c: expand.Classification):
 
 
 # -- census ----------------------------------------------------------------
-
-# Most candidate (p, q, r) triples a census window may hold.
-CENSUS_WINDOW_BUDGET = 250_000
-
-
-def census_elements(params: Params, den_bound: int, num_bound: int) -> list[FieldElem]:
-    """Canonical field elements strictly inside the expansion interval with
-    denominator <= den_bound and |p|, |q| <= num_bound, sorted by value.
-    A window of more than ``CENSUS_WINDOW_BUDGET`` candidate triples is
-    refused before any element is built.
-
-    Everything is decided on the integer triples (p, q, r).  Each value in
-    the window has exactly one reduced triple there (beta is irrational in
-    odd parity, and p = 0 in even parity), so the points are the triples
-    with gcd(p, q, r) = 1.  A triple is interior when p*beta + q and
-    r*(tp*beta + tq) - (p*beta + q) are positive, for the interval bound
-    tp*beta + tq (its denominator is 1), and triples are sorted by the sign
-    of their cross-products; a ``FieldElem`` is built only for each
-    survivor."""
-    q_range = range(-num_bound, num_bound + 1)
-    p_range = q_range if params.parity == ODD else (0,)
-    window = max(den_bound, 0) * len(p_range) * len(q_range)
-    if window > CENSUS_WINDOW_BUDGET:
-        raise DomainError(f"census window of {window} candidates is over the "
-                          f"window budget of {CENSUS_WINDOW_BUDGET}")
-    tp, tq = params.interval_bound.p, params.interval_bound.q  # over r = 1
-    triples = [(p, q, r) for r in range(1, den_bound + 1) for p in p_range for q in q_range
-               if gcd(p, q, r) == 1 and sign_pq(p, q, params) > 0
-               and sign_pq(tp * r - p, tq * r - q, params) > 0]
-    triples.sort(key=cmp_to_key(lambda a, b: sign_pq(a[0] * b[2] - b[0] * a[2],
-                                                     a[1] * b[2] - b[1] * a[2], params)))
-    return [FieldElem(params, p, q, r) for p, q, r in triples]
-
 
 def _census_row(x: FieldElem, params: Params, depths: list[int]) -> dict:
     c = expand.classify(x, params)

@@ -4,19 +4,27 @@
 value-preservation trials; ``full`` additionally runs the desk-scale
 classification sweeps and cross-route comparisons.  Every check is a pure
 function of the seed, so reports are byte-reproducible.
+
+The classification checks certify each point by the certificate of its
+verdict (see ``_classification_failure``): ``member-classification``
+every (p*beta+q)/2^n of the k = 1 census window as countable,
+``nonmember-classification`` 200 distinct sampled non-members as
+continuum points, and ``even-parity-classification`` each p/(k+1)^n,
+k = 1, 2, as countable and four thirds as continuum points.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from math import gcd
+from math import gcd, isqrt
 
 from .algebra import (
     EVEN,
     ODD,
     FieldElem,
     Params,
+    census_elements,
     fe_membership,
     format_field,
     make_params,
@@ -122,8 +130,8 @@ def _trial_words(rule: str, rng, params: Params) -> tuple[Word, ...]:
 
 def check_value_preservation(rng, samples=1000):
     """Random words through every rule by ``rewrite.apply_rule``, which
-    raises when a value-preserving rule changes the value; here the other
-    rules' values and the output shapes are checked."""
+    raises when a rule's output has the wrong value; here the output
+    shapes are checked."""
     params_pool = [make_params(k, ODD) for k in (1, 2, 3)]
     for trial in range(samples):
         params = params_pool[trial % len(params_pool)]
@@ -134,55 +142,49 @@ def check_value_preservation(rng, samples=1000):
             trace = rewrite.apply_rule(rule, params, *words)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             return False, f"exception in trial {trial}: {exc!r}"
-        out, got, w = trace.output, trace.value, words[0]
+        out, w = trace.output, words[0]
         if rule == "carry" and not (out.is_valid(params) and out.int_part == 1):
             return False, f"carry output invalid on {format_word(w)}"
         if rule == "borrow" and not (out.is_valid(params) and out.int_part == 0):
             return False, f"borrow output invalid on {format_word(w)}"
         if rule == "reduce" and any(d > k + 1 for d in out.digits):
             return False, f"reduce left a digit above k+1 on {format_word(w)}"
-        if rule == "add" and not (got == word_value(w, params) + word_value(words[1], params)
-                                  and out.is_valid(params)):
-            return False, f"add mismatch on {format_word(w)} + {format_word(words[1])}"
-        if rule == "div" and got != word_value(w, params) / (k + 1):
-            return False, f"div mismatch on {format_word(w)}"
-        if rule == "mulbeta" and not (got == word_value(w, params).mul_beta()
-                                      and out.is_valid(params)):
-            return False, f"mul_beta mismatch on {format_word(w)}"
+        if rule in ("add", "mulbeta") and not out.is_valid(params):
+            return False, f"{rule} output invalid on {' + '.join(map(format_word, words))}"
     return True, f"{samples} randomized trials"
 
 
-def _canonical_members_k1(params: Params, bound_pq=20, n_max=4):
-    """Canonical (p*beta+q)/2^n strictly inside (0, beta-1), k=1."""
-    seen = set()
-    out = []
-    top = params.interval_bound
-    for n in range(n_max + 1):
-        r = 2 ** n
-        for p in range(-bound_pq, bound_pq + 1):
-            for q in range(-bound_pq, bound_pq + 1):
-                x = FieldElem(params, p, q, r)
-                if x in seen:
-                    continue
-                seen.add(x)
-                if x.sign() > 0 and x < top:
-                    out.append(x)
-    return out
+def _classification_failure(params: Params, xs, verdict: str, max_len=None,
+                            depth=24, budget=256) -> str | None:
+    """What is wrong with the first point of ``xs`` not classified as
+    ``verdict`` with a sound certificate, or None: a word of value x in at
+    most ``max_len`` digits (None: any), or x's denominator and a prime of
+    it outside k+1, with ``budget`` distinct branch witnesses at ``depth``."""
+    for x in xs:
+        c, at = expand.classify(x, params), format_field(x)
+        if c.verdict != verdict:
+            return f"{at} misclassified as {c.verdict}"
+        if verdict == expand.COUNTABLY_INFINITE:
+            if max_len is not None and len(c.certificate.digits) > max_len:
+                return f"certificate too long for {at}"
+            if word_value(c.certificate, params) != x:
+                return f"certificate does not round-trip for {at}"
+            continue
+        den, prime = c.certificate
+        if (den != x.r or prime < 2 or den % prime or (params.k + 1) % prime == 0
+                or any(prime % d == 0 for d in range(2, isqrt(prime) + 1))):
+            return f"wrong certificate {c.certificate} for {at}"
+        n = len(set(expand.branch_witness(x, depth, budget, params)))
+        if n < budget:
+            return f"only {n} witnesses for {at}"
+    return None
 
 
 def check_member_classification(rng, bound_pq=20, n_max=4, max_len=40):
     params = make_params(1, ODD)
-    members = _canonical_members_k1(params, bound_pq, n_max)
-    for x in members:
-        c = expand.classify(x, params)
-        if c.verdict != expand.COUNTABLY_INFINITE:
-            return False, f"{format_field(x)} misclassified as {c.verdict}"
-        w = c.certificate
-        if len(w.digits) > max_len:
-            return False, f"certificate too long for {format_field(x)}"
-        if word_value(w, params) != x:
-            return False, f"certificate does not round-trip for {format_field(x)}"
-    return True, f"{len(members)} members, certificates <= {max_len} digits"
+    members = [x for x in census_elements(params, 2 ** n_max, bound_pq) if fe_membership(x)]
+    fail = _classification_failure(params, members, expand.COUNTABLY_INFINITE, max_len)
+    return (not fail, fail or f"{len(members)} members, certificates <= {max_len} digits")
 
 
 def _sample_nonmembers_k1(rng, params, count=200):
@@ -192,24 +194,16 @@ def _sample_nonmembers_k1(rng, params, count=200):
         p = rng.randint(-6, 6)
         q = rng.randint(-6, 12)
         x = FieldElem(params, p, q, den)
-        if x.sign() <= 0 or x >= params.interval_bound:
-            continue
-        if fe_membership(x):
-            continue
-        out.append(x)
+        if x.sign() > 0 and x < params.interval_bound and not (fe_membership(x) or x in out):
+            out.append(x)
     return out
 
 
 def check_nonmember_classification(rng, count=200, depth=24, budget=256):
     params = make_params(1, ODD)
-    for x in _sample_nonmembers_k1(rng, params, count):
-        c = expand.classify(x, params)
-        if c.verdict != expand.CONTINUUM:
-            return False, f"{format_field(x)} misclassified as {c.verdict}"
-        ws = expand.branch_witness(x, depth, budget, params)
-        if len(set(ws)) < budget:
-            return False, f"only {len(set(ws))} witnesses for {format_field(x)}"
-    return True, f"{count} non-members, {budget} witnesses each"
+    fail = _classification_failure(params, _sample_nonmembers_k1(rng, params, count),
+                                   expand.CONTINUUM, depth=depth, budget=budget)
+    return (not fail, fail or f"{count} non-members, {budget} witnesses each")
 
 
 def check_growth_dichotomy(rng, depth=20):
@@ -227,7 +221,7 @@ def check_growth_dichotomy(rng, depth=20):
 
 def check_cross_route(rng, count=100):
     params = make_params(1, ODD)
-    members = _canonical_members_k1(params)
+    members = [x for x in census_elements(params, 2 ** 4, 20) if fe_membership(x)]
     agreed = 0
     for x in members:
         if agreed >= count:
@@ -248,28 +242,15 @@ def check_cross_route(rng, count=100):
 def check_even_parity(rng, n_max=6):
     for k in (1, 2):
         params = make_params(k, EVEN)
-        base = k + 1
-        for n in range(n_max + 1):
-            den = base ** n
-            for p in range(1, 2 * den):
-                if gcd(p, den) != 1:
-                    continue
-                x = params.from_rational(p, den)
-                c = expand.classify(x, params)
-                if c.verdict != expand.COUNTABLY_INFINITE:
-                    return False, f"p/(k+1)^n misclassified: {p}/{den}, k={k}"
-                if word_value(c.certificate, params) != x:
-                    return False, f"certificate mismatch at {p}/{den}, k={k}"
+        xs = [params.from_rational(p, den) for den in ((k + 1) ** n for n in range(n_max + 1))
+              for p in range(1, 2 * den) if gcd(p, den) == 1]
+        fail = _classification_failure(params, xs, expand.COUNTABLY_INFINITE)
+        if fail:
+            return False, f"{fail}, k={k}"
     params = make_params(1, EVEN)
-    for num in (1, 2, 4, 5):
-        x = params.from_rational(num, 3)
-        c = expand.classify(x, params)
-        if c.verdict != expand.CONTINUUM:
-            return False, f"{num}/3 misclassified as {c.verdict}"
-        ws = expand.branch_witness(x, 24, 256, params)
-        if len(set(ws)) < 256:
-            return False, f"only {len(set(ws))} witnesses for {num}/3"
-    return True, f"k in {{1,2}}, n<={n_max}, plus thirds"
+    thirds = [params.from_rational(num, 3) for num in (1, 2, 4, 5)]
+    fail = _classification_failure(params, thirds, expand.CONTINUUM)
+    return (not fail, fail or f"k in {{1,2}}, n<={n_max}, plus thirds")
 
 
 _FAST = (

@@ -206,10 +206,10 @@ def test_factoring_budget(monkeypatch, capsys):
 
 def test_census_window_budget(monkeypatch, capsys):
     # the default window holds 4 * 9 * 9 candidate triples
-    monkeypatch.setattr(goldenbeta.cli, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9)
+    monkeypatch.setattr(goldenbeta.algebra, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9)
     assert main(["census"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(goldenbeta.cli, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9 - 1)
+    monkeypatch.setattr(goldenbeta.algebra, "CENSUS_WINDOW_BUDGET", 4 * 9 * 9 - 1)
     assert main(["census"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

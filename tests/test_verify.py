@@ -1,0 +1,194 @@
+"""The self-check suite: its report, the points each classification check
+covers, and the faults those checks and ``apply_rule`` must catch."""
+
+import hashlib
+import random
+from math import gcd
+
+import pytest
+
+from goldenbeta import expand, rewrite, verify
+from goldenbeta.algebra import EVEN, ODD, FieldElem, fe_membership, format_field, make_params
+from goldenbeta.cli import _json
+from goldenbeta.rewrite import apply_rule
+from goldenbeta.words import DigitWord, parse_word
+
+P1 = make_params(1, ODD)
+
+
+def test_full_report_digest():
+    # the bytes of `goldenbeta verify --level full`, as CI pins them
+    report = _json(verify.verify_suite("full", 0)) + "\n"
+    assert report.count('"passed": true') == 13
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "aa5fb361df77ce972164a79105135812155b447a461912d7fe6b74ef9279092a")
+
+
+# -- the points each check classifies -------------------------------------
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The point lists handed to ``_classification_failure``, in call order;
+    every call passes."""
+    calls = []
+
+    def record(params, xs, verdict, *args, **kwargs):
+        calls.append((params, list(xs), verdict))
+
+    monkeypatch.setattr(verify, "_classification_failure", record)
+    return calls
+
+
+def ref_canonical_members_k1(params, bound_pq=20, n_max=4):
+    """The member window as ``verify`` once built it: canonical
+    (p*beta+q)/2^n strictly inside (0, beta-1), k=1."""
+    seen = set()
+    out = []
+    top = params.interval_bound
+    for n in range(n_max + 1):
+        r = 2 ** n
+        for p in range(-bound_pq, bound_pq + 1):
+            for q in range(-bound_pq, bound_pq + 1):
+                x = FieldElem(params, p, q, r)
+                if x in seen:
+                    continue
+                seen.add(x)
+                if x.sign() > 0 and x < top:
+                    out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("bound_pq, n_max", [(20, 4), (12, 3), (6, 2)])
+def test_member_set_matches_reference(checked, bound_pq, n_max):
+    passed, detail = verify.check_member_classification(None, bound_pq, n_max)
+    ((params, xs, verdict),) = checked
+    ref = ref_canonical_members_k1(P1, bound_pq, n_max)
+    assert (params, verdict) == (P1, expand.COUNTABLY_INFINITE)
+    assert len(set(xs)) == len(xs) == len(ref) and set(xs) == set(ref)
+    assert passed and detail.startswith(f"{len(ref)} members")
+    if (bound_pq, n_max) == (20, 4):
+        assert len(xs) == 607
+
+
+def test_even_parity_set_unchanged(checked):
+    ref = []  # the points of the check's old loop over n and p
+    for k in (1, 2):
+        params = make_params(k, EVEN)
+        ref.append([params.from_rational(p, den) for den in ((k + 1) ** n for n in range(7))
+                    for p in range(1, 2 * den) if gcd(p, den) == 1])
+    ref.append([make_params(1, EVEN).from_rational(num, 3) for num in (1, 2, 4, 5)])
+    assert verify.check_even_parity(None) == (True, "k in {1,2}, n<=6, plus thirds")
+    assert [xs for _, xs, _ in checked] == ref
+    assert [v for _, _, v in checked] == [expand.COUNTABLY_INFINITE] * 2 + [expand.CONTINUUM]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nonmember_sample_is_distinct(seed):
+    xs = verify._sample_nonmembers_k1(random.Random(seed), P1, 200)
+    assert len(set(xs)) == 200
+    assert not any(map(fe_membership, xs))  # which also refuses a point outside
+
+
+# -- planted faults --------------------------------------------------------
+
+def _plant_classify(monkeypatch, fault):
+    """Replace ``expand.classify`` by one that passes each result through
+    ``fault(x, classification)``."""
+    real = expand.classify
+    monkeypatch.setattr(expand, "classify",
+                        lambda x, params: fault(x, real(x, params)))
+
+
+HALF = FieldElem(P1, 0, 1, 2)
+
+
+def _at_half(change):
+    return lambda x, c: change(c) if x == HALF else c
+
+
+def _digits(c, digits):
+    return expand.Classification(c.verdict, DigitWord(c.certificate.int_part, digits))
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda c: expand.Classification(expand.CONTINUUM, (2, 3)), "1/2 misclassified as Continuum"),
+    (lambda c: _digits(c, c.certificate.digits[:-1] + (c.certificate.digits[-1] - 1,)),
+     "certificate does not round-trip for 1/2"),
+    (lambda c: _digits(c, c.certificate.digits + (0,) * (41 - len(c.certificate.digits))),
+     "certificate too long for 1/2"),
+])
+def test_member_check_catches(monkeypatch, change, detail):
+    _plant_classify(monkeypatch, _at_half(change))
+    assert verify.check_member_classification(None, 6, 2) == (False, detail)
+
+
+def test_member_check_takes_40_digits(monkeypatch):
+    _plant_classify(monkeypatch, _at_half(
+        lambda c: _digits(c, c.certificate.digits + (0,) * (40 - len(c.certificate.digits)))))
+    assert verify.check_member_classification(None, 6, 2)[0]
+
+
+def test_nonmember_check_catches_short_witnesses(monkeypatch):
+    real = expand.branch_witness
+
+    def one_repeated(*args):  # 256 prefixes, 255 of them distinct
+        ws = real(*args)
+        return ws[:255] + ws[:1]
+
+    monkeypatch.setattr(expand, "branch_witness", one_repeated)
+    first = verify._sample_nonmembers_k1(random.Random(0), P1, 3)[0]
+    assert verify.check_nonmember_classification(random.Random(0), count=3) == (
+        False, f"only 255 witnesses for {format_field(first)}")
+
+
+@pytest.mark.parametrize("cert, good", [
+    ((30, 3), True),
+    ((30, 5), True),   # any prime of the denominator outside k+1 will do
+    ((60, 3), False),  # not x's denominator
+    ((30, 7), False),  # not a divisor of it
+    ((30, 2), False),  # divides k+1
+    ((30, 15), False),  # not a prime
+    ((30, 1), False),
+    ((30, -3), False),
+])
+def test_nonmember_check_reads_the_prime(monkeypatch, cert, good):
+    x = P1.from_rational(1, 30)
+    monkeypatch.setattr(verify, "_sample_nonmembers_k1", lambda rng, params, count: [x])
+    _plant_classify(monkeypatch, lambda x, c: expand.Classification(c.verdict, cert))
+    passed, detail = verify.check_nonmember_classification(None, count=1)
+    assert passed is good
+    if not good:
+        assert detail == f"wrong certificate {cert} for 1/30"
+
+
+def test_even_parity_check_names_k(monkeypatch):
+    third = make_params(2, EVEN).from_rational(1, 3)
+    _plant_classify(monkeypatch, lambda x, c: expand.Classification(
+        expand.CONTINUUM, (3, 3)) if x == third else c)
+    assert verify.check_even_parity(None) == (False, "1/3 misclassified as Continuum, k=2")
+
+
+# -- apply_rule checks every rule's value ----------------------------------
+
+def _one_digit_more(rule_fn):
+    """``rule_fn`` with a digit 1 appended to its output: a word of another value."""
+    def planted(*args):
+        out = rule_fn(*args)
+        return DigitWord(out.int_part, out.digits + (1,))
+    return planted
+
+
+@pytest.mark.parametrize("rule, words", [
+    ("add", ("0.2", "0.2")),
+    ("div", ("0.2,1",)),
+    ("mulbeta", ("0.1",)),
+])
+def test_apply_rule_checks_value(monkeypatch, rule, words):
+    words = [parse_word(t, P1) for t in words]
+    apply_rule(rule, P1, *words)  # the real rule passes
+    if rule == "add":
+        monkeypatch.setattr(rewrite, "add_words", _one_digit_more(rewrite.add_words))
+    else:
+        monkeypatch.setitem(rewrite._UNARY_RULES, rule, _one_digit_more(rewrite._UNARY_RULES[rule]))
+    with pytest.raises(AssertionError, match=f"rule {rule} gave a word of the wrong value"):
+        apply_rule(rule, P1, *words)
