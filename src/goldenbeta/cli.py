@@ -16,8 +16,10 @@ the rest to that command's parser and reports leftover words through the
 top-level parser, as ``parse_args`` would; any other argv (empty, ``-h``,
 ``--``, an unknown word) goes to the top-level parser.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including an
---out path that cannot be written), 3 domain error.
+Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
+or a library self-check such as ``apply_rule``'s, reported in one
+``error:`` line), 2 usage error (including an --out path that cannot be
+written), 3 domain error.
 """
 
 from __future__ import annotations
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
     except (DomainError, ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:  # a self-check in the library failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # only _emit does I/O
         print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
               file=sys.stderr)

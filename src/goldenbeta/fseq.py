@@ -50,7 +50,8 @@ def decompose_F(k: int, n: int) -> FDecomposition:
     seq = f_seq(k, 2)
     while seq[-1] <= a:
         seq.append((k + 1) * (seq[-1] + seq[-2]))
-    # seq[-1] > a; the largest usable index is len(seq)-1 (1-based)
+    # seq[-1] > a >= seq[-2]: the largest usable index is len(seq)-1
+    # (1-based), and its coefficient is at least 1
     coeffs = [0] * (len(seq) - 1)
     for i in range(len(seq) - 2, -1, -1):
         if seq[i] <= a:
@@ -61,8 +62,6 @@ def decompose_F(k: int, n: int) -> FDecomposition:
             a -= j * seq[i]
     if a != 0:
         raise AssertionError(f"greedy decomposition of {n} left {a}")
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     return FDecomposition(n, tuple(sign * c for c in coeffs))
 
 

@@ -7,9 +7,9 @@ read in the two directions of that identity, and also take eventually
 periodic words.  Every other rule takes finite words and runs on one
 integer list, through ``_separate`` (big-digit carries) and ``_reduce``
 (digit-range reduction), both in place, and builds a word only when it
-returns.  ``apply_rule`` checks the value of every rule's output by
-field arithmetic.  Odd-parity systems only: the calculus lives on the
-quadratic base.
+returns.  ``apply_rule`` checks every rule's output against the rule's
+row of ``_RULES``: its value by field arithmetic, and its shape.
+Odd-parity systems only: the calculus lives on the quadratic base.
 """
 
 from __future__ import annotations
@@ -291,48 +291,43 @@ class RewriteTrace:
     value: FieldElem
 
 
-_UNARY_RULES = {
-    "cr": cr_step,
-    "bsep": b_separate,
-    "carry": carry_T_plus,
-    "borrow": borrow_T_minus,
-    "reduce": reduce_digits,
-    "mulbeta": mul_beta_word,
-    "div": div_word_by_k1,
+# Each rule's contract, in the order the CLI lists the rules: its
+# function, its value law (the output's value from the inputs' values;
+# None: the input's own value) and its shape law (None: any digits).
+_RULES = {
+    "cr": (cr_step, None, None),
+    "bsep": (b_separate, None, None),
+    "carry": (carry_T_plus, None, lambda w, params: w.is_valid(params) and w.int_part == 1),
+    "borrow": (borrow_T_minus, None, lambda w, params: w.is_valid(params) and w.int_part == 0),
+    "reduce": (reduce_digits, None, lambda w, params: max(w.digits, default=0) <= params.k + 1),
+    "mulbeta": (mul_beta_word, FieldElem.mul_beta, lambda w, params: w.is_valid(params)),
+    "div": (div_word_by_k1, lambda x: x / (x.params.k + 1), None),
+    "add": (add_words, FieldElem.__add__, lambda w, params: w.is_valid(params)),
 }
 
-RULES = tuple(_UNARY_RULES) + ("add",)
-
-# the value each rule's output must have, from its inputs' values; every
-# rule not listed keeps its input's value
-_EXPECTED_VALUE = {
-    "add": FieldElem.__add__,
-    "div": lambda x: x / (x.params.k + 1),
-    "mulbeta": FieldElem.mul_beta,
-}
+RULES = tuple(_RULES)
 
 
 def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
-    steps: list[tuple[str, int]] = []
-    if rule not in RULES:
+    """Apply ``rule`` to ``inputs``; raise unless the output keeps the
+    rule's value law and shape law."""
+    if rule not in _RULES:
         raise DomainError(f"unknown rewrite rule {rule!r}")
     if rule not in ("carry", "borrow") and any(isinstance(w, EvPeriodicWord) for w in inputs):
         raise DomainError(f"{rule} takes finite words, not periodic ones")
-    if rule == "add":
-        if len(inputs) != 2:
-            raise DomainError("add takes two words")
-        out = add_words(inputs[0], inputs[1], params)
-        steps.append(("add", 0))
+    if len(inputs) != (2 if rule == "add" else 1):
+        raise DomainError("add takes two words" if rule == "add" else f"{rule} takes one word")
+    fn, value_law, shape_law = _RULES[rule]
+    steps: list[tuple[str, int]] = []
+    if rule == "bsep":
+        out = fn(*inputs, params, steps)
     else:
-        if len(inputs) != 1:
-            raise DomainError(f"{rule} takes one word")
-        if rule == "bsep":
-            out = b_separate(inputs[0], params, steps)
-        else:
-            out = _UNARY_RULES[rule](inputs[0], params)
-            steps.append((rule, 1))
+        out = fn(*inputs, params)
+        steps.append((rule, 0 if rule == "add" else 1))
     value = word_value(out, params)
-    expected = _EXPECTED_VALUE.get(rule, lambda x: x)(*(word_value(w, params) for w in inputs))
-    if value != expected:
+    values = [word_value(w, params) for w in inputs]
+    if value != (value_law(*values) if value_law else values[0]):
         raise AssertionError(f"rule {rule} gave a word of the wrong value on {inputs!r}")
+    if shape_law and not shape_law(out, params):
+        raise AssertionError(f"rule {rule} gave a word of the wrong shape on {inputs!r}")
     return RewriteTrace(rule, tuple(inputs), out, tuple(steps), value)

@@ -36,6 +36,7 @@ def test_decompose_exhaustive():
             dec = decompose_F(k, n)
             assert dec.reconstruct(k) == n
             assert all(0 <= c <= k + 1 for c in dec.coeffs)
+            assert n == 0 or dec.coeffs[-1] != 0  # the greedy's top term is used
             # remark bound: n < F_l implies fewer than l terms
             for l in range(1, 9):
                 if n < seq[l - 1]:

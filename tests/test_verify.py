@@ -2,6 +2,7 @@
 covers, and the faults those checks and ``apply_rule`` must catch."""
 
 import hashlib
+import json
 import random
 from math import gcd
 
@@ -9,7 +10,7 @@ import pytest
 
 from goldenbeta import expand, rewrite, verify
 from goldenbeta.algebra import EVEN, ODD, FieldElem, fe_membership, format_field, make_params
-from goldenbeta.cli import _json
+from goldenbeta.cli import _json, main
 from goldenbeta.rewrite import apply_rule
 from goldenbeta.words import DigitWord, parse_word
 
@@ -168,7 +169,12 @@ def test_even_parity_check_names_k(monkeypatch):
     assert verify.check_even_parity(None) == (False, "1/3 misclassified as Continuum, k=2")
 
 
-# -- apply_rule checks every rule's value ----------------------------------
+# -- apply_rule checks every rule's value and shape -----------------------
+
+def _plant_rule(monkeypatch, rule, fn):
+    """Swap ``rule``'s function in its row of the rule table for ``fn``."""
+    monkeypatch.setitem(rewrite._RULES, rule, (fn, *rewrite._RULES[rule][1:]))
+
 
 def _one_digit_more(rule_fn):
     """``rule_fn`` with a digit 1 appended to its output: a word of another value."""
@@ -186,9 +192,46 @@ def _one_digit_more(rule_fn):
 def test_apply_rule_checks_value(monkeypatch, rule, words):
     words = [parse_word(t, P1) for t in words]
     apply_rule(rule, P1, *words)  # the real rule passes
-    if rule == "add":
-        monkeypatch.setattr(rewrite, "add_words", _one_digit_more(rewrite.add_words))
-    else:
-        monkeypatch.setitem(rewrite._UNARY_RULES, rule, _one_digit_more(rewrite._UNARY_RULES[rule]))
+    _plant_rule(monkeypatch, rule, _one_digit_more(rewrite._RULES[rule][0]))
     with pytest.raises(AssertionError, match=f"rule {rule} gave a word of the wrong value"):
         apply_rule(rule, P1, *words)
+
+
+def _digitwise_sum(x, y, params):
+    return DigitWord(x.int_part + y.int_part, tuple(a + b for a, b in zip(x.digits, y.digits)))
+
+
+# each planted function returns a word of the right value and the wrong shape
+@pytest.mark.parametrize("rule, words, planted", [
+    ("carry", ("0.3,2",), lambda w, params: w),  # integer part 0, not 1
+    ("borrow", ("1.0,3",), lambda w, params: w),  # integer part 1, not 0
+    ("reduce", ("0.3",), lambda w, params: w),  # a digit above k+1
+    ("add", ("0.2", "0.2"), _digitwise_sum),  # 0.4: a digit above m
+    ("mulbeta", ("0.1",), lambda w, params: DigitWord(0, (1, 4, 2))),  # 1 = 0.2,2 = 0.1,4,2
+])
+def test_apply_rule_checks_shape(monkeypatch, rule, words, planted):
+    words = [parse_word(t, P1) for t in words]
+    apply_rule(rule, P1, *words)  # the real rule passes
+    _plant_rule(monkeypatch, rule, planted)
+    with pytest.raises(AssertionError, match=f"rule {rule} gave a word of the wrong shape"):
+        apply_rule(rule, P1, *words)
+
+
+# -- a failed self-check is a report or one error line, not a traceback ----
+
+def test_verify_reports_a_raising_check(monkeypatch, capsys):
+    # construct_route adds words by rewrite.add_words and raises on the lost value
+    monkeypatch.setattr(rewrite, "add_words", _one_digit_more(rewrite.add_words))
+    assert main(["verify", "--level", "full"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["cross-route-consistency"]["passed"]
+    assert "constructive route lost the value" in checks["cross-route-consistency"]["detail"]
+
+
+def test_cli_reports_a_failed_rule_check(monkeypatch, capsys):
+    _plant_rule(monkeypatch, "add", _one_digit_more(rewrite.add_words))
+    assert main(["rewrite", "add", "0.2", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: rule add gave a word of the wrong value on ")
