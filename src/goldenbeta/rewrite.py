@@ -5,7 +5,8 @@ Everything here trades on the single identity 1.00 = 0.(k+1)(k+1), i.e.
 beta^2 = (k+1)(beta+1).  Carry and borrow are one mirrored map, ``_trade``,
 read in the two directions of that identity, and also take eventually
 periodic words.  Every other rule takes finite words and runs on one
-integer list, through ``_separate`` (big-digit carries) and ``_reduce``
+integer list d, where d[0] is the integer part and d[i] the digit of
+beta^-i, through ``_separate`` (big-digit carries) and ``_reduce``
 (digit-range reduction), both in place, and builds a word only when it
 returns.  ``apply_rule`` checks every rule's output against the rule's
 row of ``_RULES``: its value by field arithmetic, and its shape.
@@ -38,36 +39,34 @@ def _require_odd(params: Params) -> None:
 
 # -- big-digit separation ------------------------------------------------
 
-def _separate(int_part: int, d: list[int], params: Params, steps=None, limit=None) -> int:
-    """Make up to ``limit`` (None: every) leftmost big-big carries in ``d``
-    in place; return the new integer part.  A carry at (l, l+1) turns both
-    its digits small, so the pairs at l-1, l and l+1 are not big-big, and
-    only the one at l-2, raised by the carry, can be: the scan resumes there."""
+def _separate(d: list[int], params: Params, steps=None, limit=None) -> None:
+    """Make up to ``limit`` (None: every) leftmost big-big carries in place
+    on ``d``, where d[0] is the integer part and d[i] the digit of beta^-i.
+    A carry at (l, l+1) turns both its digits small, so the pairs at l-1, l
+    and l+1 are not big-big, and only the one at l-2, raised by the carry,
+    can be: the scan resumes there."""
     k1, m = params.k + 1, params.m
-    l, done = 0, 0
+    l, done = 1, 0
     while l < len(d) - 1 and done != limit:
         if k1 <= d[l] <= m and k1 <= d[l + 1] <= m:
-            if l == 0:
-                int_part += 1
-            else:
-                d[l - 1] += 1
+            d[l - 1] += 1
             d[l] -= k1
             d[l + 1] -= k1
             if steps is not None:
-                steps.append(("carry-pair", l + 1))
+                steps.append(("carry-pair", l))
             done += 1
-            l = max(l - 2, 0)
+            l = max(l - 2, 1)
         else:
             l += 1
-    return int_part
 
 
 def cr_step(w: DigitWord, params: Params) -> DigitWord:
     """One leftmost carry: the first big-big digit pair (positions l, l+1)
     becomes (+1 into position l-1, both big digits dropped by k+1)."""
     _require_odd(params)
-    d = list(w.digits)
-    return DigitWord(_separate(w.int_part, d, params, limit=1), tuple(d))
+    d = [w.int_part, *w.digits]
+    _separate(d, params, limit=1)
+    return DigitWord(d[0], tuple(d[1:]))
 
 
 def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:
@@ -75,8 +74,9 @@ def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:
     of equal value with no two consecutive big digits.  Each carry lowers
     the digit sum by 2k+1, so the pass terminates."""
     _require_odd(params)
-    d = list(w.digits)
-    return DigitWord(_separate(w.int_part, d, params, _steps), tuple(d))
+    d = [w.int_part, *w.digits]
+    _separate(d, params, _steps)
+    return DigitWord(d[0], tuple(d[1:]))
 
 
 # -- carry and borrow ----------------------------------------------------
@@ -107,7 +107,7 @@ def _trade(w: Word, params: Params, s: int) -> Word:
 
     With v the first break of the alternation in the tail, the head moves
     by -s(k+1) when v = 1 and by -s(k+2) otherwise; tail positions before
-    v-1 take +s, -s, ... in turn (forever when v is infinite), and
+    v-1 take +s, -s, ... in turn (forever when v is IND_INF), and
     position v takes -s(k+1) when v is odd, +s(k+1) when it is even.
     """
     _require_odd(params)
@@ -125,10 +125,10 @@ def _trade(w: Word, params: Params, s: int) -> Word:
     if not 0 <= head <= params.m:
         raise DomainError(f"{rule} needs a first digit in {first_range}, got {b}")
     # an even length keeps the period aligned with the infinite alternation
-    n = len(pre) + len(pre) % 2 if v == IND_INF else max(v, len(pre))
+    n = len(pre) + len(pre) % 2 if v is IND_INF else max(v, len(pre))
     digits, period = split_at(pre, period, n)
     digits = list(digits)
-    if v == IND_INF:
+    if v is IND_INF:
         digits = _alternate(digits, s)
         # a period with an odd length would repeat a digit at both parities,
         # so an alternation that never breaks has an even period
@@ -153,31 +153,28 @@ def reduce_digits(w: DigitWord, params: Params) -> DigitWord:
     _require_odd(params)
     if w.int_part != 0:
         raise DomainError("digit reduction expects integer part 0")
-    d = list(w.digits)
-    return DigitWord(_reduce(d, params), tuple(d))
+    d = [0, *w.digits]
+    _reduce(d, params)
+    return DigitWord(d[0], tuple(d[1:]))
 
 
-def _reduce(d: list[int], params: Params) -> int:
-    """Reduce ``d``, read with integer part 0, in place; return the new
-    integer part.
+def _reduce(d: list[int], params: Params) -> None:
+    """Reduce ``d`` in place, where d[0] is the integer part and d[i] the
+    digit of beta^-i.
 
     Repeatedly separates big digits, then removes the rightmost digit
-    above k+1: that digit c satisfies c/beta = 1 + (c-k-2)/beta +
-    (k+1)/beta^3, and when the landing spot two places right is blocked by
-    a (k+1) the deposit slides down the small/big alternation until it
-    finds a small digit.
+    above k+1 at a position i >= 1: that digit c satisfies c/beta = 1 +
+    (c-k-2)/beta + (k+1)/beta^3, and when the landing spot two places right
+    is blocked by a (k+1) the deposit slides down the small/big alternation
+    until it finds a small digit.
     """
     k = params.k
-    int_part = 0
     while True:
-        int_part = _separate(int_part, d, params)
-        j = next((i for i in range(len(d) - 1, -1, -1) if d[i] >= k + 2), None)
+        _separate(d, params)
+        j = next((i for i in range(len(d) - 1, 0, -1) if d[i] >= k + 2), None)
         if j is None:
-            return int_part
-        if j == 0:
-            int_part += 1
-        else:
-            d[j - 1] += 1
+            return
+        d[j - 1] += 1
         d[j] -= k + 2
         pos = j + 2
         while pos < len(d) and d[pos] == k + 1:
@@ -201,38 +198,26 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     limit = params.interval_bound.div_beta()
     if not (word_value(w, params) < limit):
         raise DomainError("value too large: beta * x leaves the expansion interval")
-    d = list(w.digits)
-    if _reduce(d, params) != 0:
-        raise AssertionError(f"the reduced word of {w!r} has a nonzero integer part")
-    while d and d[-1] == 0:
+    d = [0, *w.digits, 0]  # the trailing 0 holds the unit of an empty word
+    _reduce(d, params)
+    while len(d) > 2 and d[-1] == 0:
         d.pop()
-    if not d:
-        return DigitWord(0, ())
-    if d[0] == 0:
-        return DigitWord(0, tuple(d[1:]))
-    if d[0] != 1:
-        raise AssertionError("reduced words below (beta-k)/beta start with 0 or 1")
-    rest = d[1:]
+    # beta * x is d less its integer part, which must be 0: the unit d[1]
+    # is the product's integer part
+    zero, unit, *rest = d
+    if (zero, unit) == (0, 0):
+        return DigitWord(0, tuple(rest))
+    # walk the unit past each pair k, k+1: 1.k(k+1) = 0.(2k+1)(2k+1) + beta^-2
     r = rest + [0, 0]  # every read below stops within two places past the end
-    if r[0] <= k - 1:
-        return borrow_T_minus(DigitWord(1, tuple(rest) or (0,)), params)
-    if r[0] != k:
-        raise AssertionError("a second digit k+1 would put the value on the boundary")
-    i, blocks = 1, 0
-    while r[i] == k + 1 and r[i + 1] == k:
-        blocks += 1
+    i = 0
+    while r[i] == k and r[i + 1] == k + 1:
         i += 2
-    nxt = r[i]
-    if nxt <= k:
-        tail = tuple(rest[i + 1 :])
-        return DigitWord(0, (2 * k + 1,) * (2 * blocks + 1) + (nxt + k + 1,) + tail)
-    if nxt != k + 1:
-        raise AssertionError(f"digit {nxt} after the (k+1)k blocks is out of range")
-    b = r[i + 1]
-    if b > k - 1:
-        raise AssertionError("the tail of a below-1 expansion cannot reach (k+1)(k+1)")
-    inner = borrow_T_minus(DigitWord(1, (b, *rest[i + 2 :])), params)
-    return DigitWord(0, (2 * k + 1,) * (2 * blocks + 2) + inner.digits)
+    if (zero, unit) != (0, 1) or r[i] > k:
+        raise AssertionError(f"beta times the reduced word of {w!r} is not below beta-k")
+    if r[i] == k:  # the unit stops: 1.kc = 0.(2k+1)(c+k+1)
+        return DigitWord(0, (2 * k + 1,) * (i + 1) + (r[i + 1] + k + 1,) + tuple(rest[i + 2 :]))
+    inner = borrow_T_minus(DigitWord(1, tuple(rest[i:])), params)
+    return DigitWord(0, (2 * k + 1,) * i + inner.digits)
 
 
 def add_words(x: DigitWord, y: DigitWord, params: Params) -> DigitWord:
@@ -240,20 +225,22 @@ def add_words(x: DigitWord, y: DigitWord, params: Params) -> DigitWord:
     {0..m}, the integer part may exceed 1.  The digits are reduced, padded
     and summed on lists; only the result is built as a word."""
     _require_odd(params)
-    a, b = list(x.digits), list(y.digits)
-    int_part = x.int_part + y.int_part + _reduce(a, params) + _reduce(b, params)
+    a, b = [x.int_part, *x.digits], [y.int_part, *y.digits]
+    _reduce(a, params)
+    _reduce(b, params)
     a += [0] * (len(b) - len(a))
     b += [0] * (len(a) - len(b))
-    # split each 2k+2 as (2k+1) + 1; the 1s ride along unreduced
+    # split each 2k+2 as (2k+1) + 1; the 1s ride along unreduced (one at
+    # d[0] too is harmless: the kernels only ever add to the integer part)
     ones = [int(p + q == 2 * params.k + 2) for p, q in zip(a, b)]
     d = [p + q - o for p, q, o in zip(a, b, ones)]
-    int_part += _reduce(d, params)  # reduction only ever appends digits
+    _reduce(d, params)  # reduction only ever appends digits
     d = [p + o for p, o in zip(d, ones)] + d[len(ones) :]
     # re-adding the ones can recreate big-big pairs; separate them again
-    int_part = _separate(int_part, d, params)
-    while d and d[-1] == 0:
+    _separate(d, params)
+    while len(d) > 1 and d[-1] == 0:
         d.pop()
-    return DigitWord(int_part, tuple(d) or (0,))
+    return DigitWord(d[0], tuple(d[1:]) or (0,))
 
 
 def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:

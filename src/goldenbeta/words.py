@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import inf
 
 from .algebra import FieldElem, Params, times_beta
 
-IND_INF = inf
+IND_INF = None  # ind's answer when the alternation never breaks
 
 
 class ParseError(ValueError):
@@ -202,9 +201,9 @@ def is_B_separated(w: Word, params: Params) -> bool:
 PLUS, MINUS = "plus", "minus"
 
 
-def ind(sign: str, tail, params: Params) -> int | float:
+def ind(sign: str, tail, params: Params) -> int | None:
     """First index breaking the alternating small/big (plus) or big/small
-    (minus) pattern, or infinity if the alternation never breaks.
+    (minus) pattern, or IND_INF (None) if the alternation never breaks.
 
     ``tail`` is a (preperiod, period) pair; a finite tail has the period
     (0,).  Past the preperiod, digits and the pattern repeat together with

@@ -101,6 +101,7 @@ def test_fe_arith_examples():
     assert (half_bm1 - half_bm1).is_zero()
     half_b = FieldElem(P1, 1, 0, 2)
     assert ((half_b + half_b) - P1.beta).is_zero()
+    assert ((1 - half_bm1) - FieldElem(P1, -1, 3, 2)).is_zero()  # int - elem
 
 
 def test_fe_mul_beta_examples():
@@ -117,6 +118,7 @@ def test_fe_cmp_examples():
     assert (b - 1).compare(P1.one) == 1
     assert b.compare(b) == 0
     assert P1.zero.compare(P1.one) == -1
+    assert b > P1.one and not P1.one > b
 
 
 def test_canonical_form():

@@ -125,6 +125,44 @@ def test_domain_error_exit(capsys):
     assert main(["rewrite", "carry", "0.1,2"]) == 3
 
 
+@pytest.mark.parametrize("rule", ["cr", "bsep", "carry", "borrow", "reduce", "mulbeta",
+                                  "div", "add"])
+def test_rewrite_refuses_even_parity(rule, capsys):
+    words = ["0.1,2", "0.1"] if rule == "add" else ["0.1,2"]
+    assert main(["rewrite", rule, *words, "--parity", "even"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the rewriting calculus applies to odd-parity systems\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["rewrite", "add", "0.1"], "add takes two words"),
+    (["rewrite", "cr", "0.1", "0.2"], "cr takes one word"),
+    (["classify", "1/" + "7" * 5000], "a number in the field literal has too many digits"),
+    (["rewrite", "carry", "0." + "7" * 5000],
+     "a number in the word literal has too many digits"),
+], ids=["add-one-word", "cr-two-words", "field-literal-too-long", "word-literal-too-long"])
+def test_domain_error_message(argv, err, capsys):
+    if "7" * 5000 in argv[-1] and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on the digits int() reads")  # classify then finds the prime 7
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, endpoint", [
+    (["classify", "0"], "0"),
+    (["classify", "(-1+1*b)"], "m"),  # beta - k at k = 1
+    (["classify", "2", "--parity", "even"], "m"),
+], ids=["zero", "top", "top-even"])
+def test_classify_endpoint(argv, endpoint, capsys):
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    assert obj["result"] == "UniqueEndpoint"
+    assert obj["certificate"] == endpoint
+
+
 @pytest.mark.parametrize("argv, code", [
     (["classify", "3/0"], 3),
     (["enumerate", "1", "--depth", "-3"], 3),
@@ -280,10 +318,14 @@ def test_parser_reuse_matches_fresh_process(capsys):
         assert (code, out) == (proc.returncode, proc.stdout), argv
 
 
-def test_usage_error_exit():
+def test_usage_error_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--depths", "6,-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("invalid depth_list value: '6,-1'\n")
 
 
 def _parse_outcome(parse, argv):

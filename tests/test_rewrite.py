@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldenbeta import expand, rewrite
@@ -178,7 +178,7 @@ def test_carry_injective_within_ind_class():
         v = ind(PLUS, _tail(w), P1)
         if v != 1 and (w.digits[0] if isinstance(w, DigitWord) else w.digit_at(1)) == 2:
             continue  # carry restricted to B-minus heads for v >= 2
-        key = (v if v == float("inf") else int(v))
+        key = (v if v == IND_INF else int(v))
         by_class.setdefault(key, {})
         out = carry_T_plus(w, P1)
         if isinstance(w, DigitWord):
@@ -399,6 +399,10 @@ def test_mul_beta_examples():
     assert mul_beta_word(w1("0.0,1"), P1) == w1("0.1")
     assert mul_beta_word(w1("0.1,0,1"), P1) == w1("0.2,3")
     assert mul_beta_word(w1("0.1,1,0"), P1) == w1("0.3,2")
+    # the unit passes both pairs 1,2 of 1.1,2,1,2,c, then stops at c = 1
+    # or borrows at c = 0
+    assert mul_beta_word(w1("0.1,1,2,1,2,1"), P1) == w1("0.3,3,3,3,3,2")
+    assert mul_beta_word(w1("0.1,1,2,1,2,0,1"), P1) == w1("0.3,3,3,3,2,3")
 
 
 def test_mul_beta_rejects_large():
@@ -548,6 +552,65 @@ def ref_add_words(x, y, params):
     if not trimmed.digits:
         trimmed = DigitWord(trimmed.int_part, (0,))
     return trimmed
+
+
+# mul_beta_word as a case analysis on the reduced word 0.1 r0 r1 ...:
+# r0 <= k-1 borrows at once, and r0 = k is followed by (k+1, k) blocks and
+# then either a digit <= k or k+1 and a borrow.
+
+def ref_mul_beta_word(w, params):
+    k = params.k
+    reduced = ref_reduce_digits(w, params)
+    if reduced.int_part != 0:
+        raise AssertionError(f"the reduced word of {w!r} has a nonzero integer part")
+    d = list(reduced.trimmed().digits)
+    if not d:
+        return DigitWord(0, ())
+    if d[0] == 0:
+        return DigitWord(0, tuple(d[1:]))
+    if d[0] != 1:
+        raise AssertionError("reduced words below (beta-k)/beta start with 0 or 1")
+    rest = d[1:]
+    r = rest + [0, 0]
+    if r[0] <= k - 1:
+        return borrow_T_minus(DigitWord(1, tuple(rest) or (0,)), params)
+    if r[0] != k:
+        raise AssertionError("a second digit k+1 would put the value on the boundary")
+    i, blocks = 1, 0
+    while r[i] == k + 1 and r[i + 1] == k:
+        blocks += 1
+        i += 2
+    nxt = r[i]
+    if nxt <= k:
+        tail = tuple(rest[i + 1 :])
+        return DigitWord(0, (2 * k + 1,) * (2 * blocks + 1) + (nxt + k + 1,) + tail)
+    if nxt != k + 1:
+        raise AssertionError(f"digit {nxt} after the (k+1)k blocks is out of range")
+    b = r[i + 1]
+    if b > k - 1:
+        raise AssertionError("the tail of a below-1 expansion cannot reach (k+1)(k+1)")
+    inner = borrow_T_minus(DigitWord(1, (b, *rest[i + 2 :])), params)
+    return DigitWord(0, (2 * k + 1,) * (2 * blocks + 2) + inner.digits)
+
+
+@st.composite
+def mul_beta_inputs(draw):
+    """A system k = 1..4 and a word below (beta-k)/beta: a first digit 0
+    or 1, then up to 12 digits drawn mostly from k and k+1, so that many
+    reduced words start 1.k(k+1)k(k+1)..."""
+    params = make_params(draw(st.integers(1, 4)), ODD)
+    k = params.k
+    digit = st.sampled_from((k, k + 1) * 3 + tuple(range(params.m + 1)))
+    w = DigitWord(0, (draw(st.integers(0, 1)), *draw(st.lists(digit, max_size=12))))
+    assume(word_value(w, params) < params.interval_bound.div_beta())
+    return params, w
+
+
+@settings(max_examples=500, deadline=None)
+@given(mul_beta_inputs())
+def test_mul_beta_matches_reference(case):
+    params, w = case
+    assert mul_beta_word(w, params) == ref_mul_beta_word(w, params)
 
 
 @st.composite

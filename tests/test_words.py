@@ -30,6 +30,7 @@ P2 = make_params(2, ODD)
 def test_parse_examples():
     w = parse_word("0.2,2", P1)
     assert isinstance(w, DigitWord) and w.digits == (2, 2)
+    assert len(w) == 2
     w = parse_word("0.1,(3)*", P1)
     assert isinstance(w, EvPeriodicWord)
     assert (w.preperiod, w.period) == ((1,), (3,))
