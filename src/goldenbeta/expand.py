@@ -454,8 +454,8 @@ def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
     w = construct_route(x, params)
     if w is not None:
         return w
-    log.warning("constructive route gave up on %r; "
-                "falling back to search synthesis", x)
+    log.debug("constructive route gave up on %r; "
+              "falling back to search synthesis", x)
     return synth_finite(x, params)
 
 

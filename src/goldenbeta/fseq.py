@@ -51,18 +51,15 @@ def decompose_F(k: int, n: int) -> FDecomposition:
     while seq[-1] <= a:
         seq.append((k + 1) * (seq[-1] + seq[-2]))
     # seq[-1] > a >= seq[-2]: the largest usable index is len(seq)-1
-    # (1-based), and its coefficient is at least 1
+    # (1-based), and its coefficient is at least 1; F_1 = 1 takes whatever
+    # is left
     coeffs = [0] * (len(seq) - 1)
     for i in range(len(seq) - 2, -1, -1):
-        if seq[i] <= a:
-            j = a // seq[i]
-            if j > k + 1:
-                raise AssertionError(f"greedy coefficient {j} of F_{i + 1} out of range")
-            coeffs[i] = j
-            a -= j * seq[i]
-    if a != 0:
-        raise AssertionError(f"greedy decomposition of {n} left {a}")
-    return FDecomposition(n, tuple(sign * c for c in coeffs))
+        j, a = divmod(a, seq[i])
+        if j > k + 1:
+            raise AssertionError(f"greedy coefficient {j} of F_{i + 1} out of range")
+        coeffs[i] = sign * j
+    return FDecomposition(n, tuple(coeffs))
 
 
 def fn_identity_check(params: Params, n: int) -> bool:

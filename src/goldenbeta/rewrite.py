@@ -8,8 +8,8 @@ periodic words.  Every other rule takes finite words and runs on one
 integer list d, where d[0] is the integer part and d[i] the digit of
 beta^-i, through ``_separate`` (big-digit carries) and ``_reduce``
 (digit-range reduction), both in place, and builds a word only when it
-returns.  ``apply_rule`` checks every rule's output against the rule's
-row of ``_RULES``: its value by field arithmetic, and its shape.
+returns.  No rule evaluates a value: ``apply_rule`` alone does, checking
+each rule's output against its row of ``_RULES`` for value and shape.
 Odd-parity systems only: the calculus lives on the quadratic base.
 """
 
@@ -26,6 +26,7 @@ from .words import (
     EvPeriodicWord,
     Word,
     ind,
+    is_B_separated,
     pre_period,
     split_at,
     word_value,
@@ -189,15 +190,16 @@ def _reduce(d: list[int], params: Params) -> None:
 # -- closure operations --------------------------------------------------
 
 def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
-    """Finite word for beta * value(w); requires value(w) < (beta-k)/beta
-    so that the product stays inside the expansion interval."""
+    """Finite word for beta * value(w), w a valid word.  The domain,
+    value(w) < (beta-k)/beta, is read off the reduced digits u.r of the
+    product: u is 0, or u is 1 and r has a digit at most k after its
+    leading pairs k, k+1; every other word is refused."""
     _require_odd(params)
     k = params.k
     if w.int_part != 0:
         raise DomainError("multiplication by beta expects integer part 0")
-    limit = params.interval_bound.div_beta()
-    if not (word_value(w, params) < limit):
-        raise DomainError("value too large: beta * x leaves the expansion interval")
+    if not w.is_valid(params):
+        raise DomainError(f"multiplication by beta expects digits in 0..{params.m}")
     d = [0, *w.digits, 0]  # the trailing 0 holds the unit of an empty word
     _reduce(d, params)
     while len(d) > 2 and d[-1] == 0:
@@ -213,7 +215,7 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
     while r[i] == k and r[i + 1] == k + 1:
         i += 2
     if (zero, unit) != (0, 1) or r[i] > k:
-        raise AssertionError(f"beta times the reduced word of {w!r} is not below beta-k")
+        raise DomainError("value too large: beta * x leaves the expansion interval")
     if r[i] == k:  # the unit stops: 1.kc = 0.(2k+1)(c+k+1)
         return DigitWord(0, (2 * k + 1,) * (i + 1) + (r[i + 1] + k + 1,) + tuple(rest[i + 2 :]))
     inner = borrow_T_minus(DigitWord(1, tuple(rest[i:])), params)
@@ -246,25 +248,17 @@ def add_words(x: DigitWord, y: DigitWord, params: Params) -> DigitWord:
 def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:
     """Digit word for value(w)/(k+1), two digits longer than the input.
 
-    Each digit splits as eps = i(eps) + t(eps)/(k+1) * (1/beta + 1/beta^2)
-    with i(eps) in {0, k+1}; collecting the per-position contributions
-    gives digits that are all multiples of k+1.
+    Reads 1/(k+1) = 1/beta + 1/beta^2: each digit e is (k+1)*b + s with
+    b = 1 when e lies outside {0..k}, so e/(k+1) is b in e's own place and
+    s in each of the next two places.
     """
     _require_odd(params)
     k = params.k
     if w.int_part != 0:
         raise DomainError("division by k+1 expects integer part 0")
-    k1 = k + 1
-    eps = [0, 0, *w.digits, 0, 0]  # output digit j reads input digits j-1..j-3
-    iparts = [0 if params.in_small(e) else k1 for e in eps]
-    tparts = [k1 * (e - i) for e, i in zip(eps, iparts)]
-    out = []
-    for j, (i, t1, t2) in enumerate(zip(iparts[2:], tparts[1:], tparts), start=1):
-        eta = i + t1 + t2
-        if eta % k1 != 0:
-            raise AssertionError(f"digit {j} of {w!r} divided by k+1 is not an integer")
-        out.append(eta // k1)
-    return DigitWord(0, tuple(out))
+    b = [int(not 0 <= e <= k) for e in w.digits]
+    s = [e - (k + 1) * c for e, c in zip(w.digits, b)]
+    return DigitWord(0, tuple(map(sum, zip(b + [0, 0], [0, *s, 0], [0, 0, *s]))))
 
 
 # -- audit trail ---------------------------------------------------------
@@ -283,12 +277,12 @@ class RewriteTrace:
 # None: the input's own value) and its shape law (None: any digits).
 _RULES = {
     "cr": (cr_step, None, None),
-    "bsep": (b_separate, None, None),
+    "bsep": (b_separate, None, is_B_separated),
     "carry": (carry_T_plus, None, lambda w, params: w.is_valid(params) and w.int_part == 1),
     "borrow": (borrow_T_minus, None, lambda w, params: w.is_valid(params) and w.int_part == 0),
     "reduce": (reduce_digits, None, lambda w, params: max(w.digits, default=0) <= params.k + 1),
     "mulbeta": (mul_beta_word, FieldElem.mul_beta, lambda w, params: w.is_valid(params)),
-    "div": (div_word_by_k1, lambda x: x / (x.params.k + 1), None),
+    "div": (div_word_by_k1, lambda x: x / (x.params.k + 1), lambda w, params: w.is_valid(params)),
     "add": (add_words, FieldElem.__add__, lambda w, params: w.is_valid(params)),
 }
 

@@ -12,7 +12,8 @@ every (p*beta+q)/2^n of the k = 1 census window as countable,
 continuum points, and ``even-parity-classification`` each p/(k+1)^n,
 k = 1, 2, as countable and four thirds as continuum points;
 ``cross-route-consistency`` has ``expand.construct_route`` build 100 of
-those members, each checked by that function's own value raise.
+those members, each checked by that function's own value raise and
+never shorter than the search's shortest word.
 """
 
 from __future__ import annotations
@@ -213,7 +214,11 @@ def check_cross_route(rng, count=100):
     for x in members:
         if built >= count:
             break
-        built += expand.construct_route(x, params) is not None
+        w = expand.construct_route(x, params)
+        # the search returns a shortest word, so no valid word of x is shorter
+        if w is not None and len(expand.synth_finite(x, params)) > len(w.trimmed()):
+            return False, f"search word longer than the constructed one for {format_field(x)}"
+        built += w is not None
     if built < count:
         return False, f"constructive route succeeded on only {built} inputs"
     return True, f"{built} member inputs agree across routes"

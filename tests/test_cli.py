@@ -290,6 +290,7 @@ def test_synth_construct_refuses_nonmember_and_falls_back():
     proc = run_process("synth", "1/2", "--parity", "even", "--route", "construct")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "0.1"
+    assert proc.stderr == ""  # the fallback is logged at DEBUG only
 
 
 @pytest.mark.parametrize("argv, endpoint", [

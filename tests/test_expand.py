@@ -207,9 +207,9 @@ def test_construct_route_examples():
                 assert construct_route(x, P1) is not None
 
 
-def test_construct_route_fallback():
+def test_construct_route_fallback(caplog):
     # find a member the constructive route gives up on; the wrapper must
-    # still return a correct word via the search
+    # still return a correct word via the search, and say so at DEBUG only
     import itertools
 
     for p, q, n in itertools.product(range(-6, 7), range(-6, 7), range(3)):
@@ -217,8 +217,11 @@ def test_construct_route_fallback():
         if not (x.sign() > 0 and x < P1.interval_bound):
             continue
         if construct_route(x, P1) is None:
-            w = synth_finite_constructive(x, P1)
+            with caplog.at_level(logging.DEBUG, logger=expand.__name__):
+                w = synth_finite_constructive(x, P1)
             assert (val(w) - x).is_zero()
+            (rec,) = [r for r in caplog.records if "constructive route gave up" in r.getMessage()]
+            assert rec.levelno == logging.DEBUG
             return
     pytest.fail("no fallback case found in the sample window")
 

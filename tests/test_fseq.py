@@ -3,7 +3,7 @@
 import pytest
 
 from goldenbeta.algebra import EVEN, ODD, ParameterError, make_params
-from goldenbeta.fseq import decompose_F, f_seq, fn_identity_check
+from goldenbeta.fseq import FDecomposition, decompose_F, f_seq, fn_identity_check
 
 
 def test_f_seq_examples():
@@ -41,6 +41,37 @@ def test_decompose_exhaustive():
             for l in range(1, 9):
                 if n < seq[l - 1]:
                     assert dec.length < l
+
+
+# The greedy as it ran before its guards went: a coefficient only where
+# F_i <= a, and a raise if anything is left after F_1.
+
+def ref_decompose_F(k, n):
+    if n == 0:
+        return FDecomposition(0, ())
+    sign = 1 if n > 0 else -1
+    a = abs(n)
+    seq = f_seq(k, 2)
+    while seq[-1] <= a:
+        seq.append((k + 1) * (seq[-1] + seq[-2]))
+    coeffs = [0] * (len(seq) - 1)
+    for i in range(len(seq) - 2, -1, -1):
+        if seq[i] <= a:
+            j = a // seq[i]
+            if j > k + 1:
+                raise AssertionError(f"greedy coefficient {j} of F_{i + 1} out of range")
+            coeffs[i] = j
+            a -= j * seq[i]
+    if a != 0:
+        raise AssertionError(f"greedy decomposition of {n} left {a}")
+    return FDecomposition(n, tuple(sign * c for c in coeffs))
+
+
+def test_decompose_matches_reference():
+    for k in (1, 2, 3, 4, 5):
+        big = [f - 1 for f in f_seq(k, 16)[8:]] + [f_seq(k, 12)[-1] * 7 + 5]
+        for n in [*range(-3000, 3001), *big, *(-b for b in big)]:
+            assert decompose_F(k, n) == ref_decompose_F(k, n)
 
 
 def test_growth_ratio_boundary():

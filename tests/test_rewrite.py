@@ -1,6 +1,7 @@
 """The digit-rewriting calculus: exact value preservation throughout."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -405,10 +406,28 @@ def test_mul_beta_examples():
     assert mul_beta_word(w1("0.1,1,2,1,2,0,1"), P1) == w1("0.3,3,3,3,2,3")
 
 
+MUL_BETA_REFUSAL = "value too large: beta * x leaves the expansion interval"
+
+
 def test_mul_beta_rejects_large():
+    with pytest.raises(DomainError, match=re.escape(MUL_BETA_REFUSAL)):
+        mul_beta_word(w1("0.2,2"), P1)  # value 1 > (beta-1)/beta
+    # the boundary (beta-k)/beta = 1 - k/beta = 0.1(k+1) = 0.1,1,2,2 itself
+    # is excluded; 0.1,1,2,1,2 is the largest word of up to 5 digits below it
+    limit = P1.interval_bound.div_beta()
+    for text in ("0.1,2", "0.1,1,2,2"):
+        assert word_value(w1(text), P1) == limit
+        with pytest.raises(DomainError, match=re.escape(MUL_BETA_REFUSAL)):
+            mul_beta_word(w1(text), P1)
+    below = w1("0.1,1,2,1,2")
+    assert word_value(below, P1) < limit
+    assert mul_beta_word(below, P1) == w1("0.3,3,3,3,2,2")
+
+
+@pytest.mark.parametrize("digit", [-1, 4])
+def test_mul_beta_refuses_digits_out_of_range(digit):
     with pytest.raises(DomainError):
-        mul_beta_word(w1("0.2,2"), P1)  # value 1 >= (beta-1)/beta is fine...
-    # boundary: (beta-k)/beta itself is excluded
+        mul_beta_word(DigitWord(0, (digit,)), P1)
 
 
 def test_mul_beta_random():
@@ -611,6 +630,62 @@ def mul_beta_inputs(draw):
 def test_mul_beta_matches_reference(case):
     params, w = case
     assert mul_beta_word(w, params) == ref_mul_beta_word(w, params)
+
+
+@st.composite
+def mul_beta_domain_words(draw):
+    """A system k = 1..4 and a valid word of up to 16 digits drawn mostly
+    from k and k+1, on either side of (beta-k)/beta."""
+    params = make_params(draw(st.integers(1, 4)), ODD)
+    k = params.k
+    digit = st.sampled_from((k, k + 1) * 3 + tuple(range(params.m + 1)))
+    first = st.sampled_from((0, 1, 1, 1) + tuple(range(params.m + 1)))
+    w = DigitWord(0, (draw(first), *draw(st.lists(digit, max_size=15))))
+    return params, w
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mul_beta_domain_words())
+def test_mul_beta_refuses_exactly_outside_its_domain(case):
+    # the digit walk alone decides the domain: it refuses, with this one
+    # message, exactly the words with value(w) >= (beta-k)/beta
+    params, w = case
+    inside = word_value(w, params) < params.interval_bound.div_beta()
+    try:
+        out = mul_beta_word(w, params)
+    except DomainError as exc:
+        assert not inside and str(exc) == MUL_BETA_REFUSAL
+    else:
+        assert inside and out.is_valid(params)
+
+
+# div_word_by_k1 as it split each digit into i(e) in {0, k+1} and
+# t(e) = (k+1)(e - i(e)) and checked that every collected digit divides.
+
+def ref_div_word_by_k1(w, params):
+    k = params.k
+    if w.int_part != 0:
+        raise DomainError("division by k+1 expects integer part 0")
+    k1 = k + 1
+    eps = [0, 0, *w.digits, 0, 0]
+    iparts = [0 if params.in_small(e) else k1 for e in eps]
+    tparts = [k1 * (e - i) for e, i in zip(eps, iparts)]
+    out = []
+    for j, (i, t1, t2) in enumerate(zip(iparts[2:], tparts[1:], tparts), start=1):
+        eta = i + t1 + t2
+        if eta % k1 != 0:
+            raise AssertionError(f"digit {j} of {w!r} divided by k+1 is not an integer")
+        out.append(eta // k1)
+    return DigitWord(0, tuple(out))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(make_params(k, ODD)), st.lists(st.integers(-1, 2 * k + 3), max_size=12))))
+def test_div_matches_reference(case):
+    params, digits = case
+    w = DigitWord(0, tuple(digits))
+    assert div_word_by_k1(w, params) == ref_div_word_by_k1(w, params)
 
 
 @st.composite

@@ -208,6 +208,10 @@ def _digitwise_sum(x, y, params):
     ("reduce", ("0.3",), lambda w, params: w),  # a digit above k+1
     ("add", ("0.2", "0.2"), _digitwise_sum),  # 0.4: a digit above m
     ("mulbeta", ("0.1",), lambda w, params: DigitWord(0, (1, 4, 2))),  # 1 = 0.2,2 = 0.1,4,2
+    ("bsep", ("0.2,2",), lambda w, params, steps=None: w),  # two consecutive big digits
+    # w/(k+1) = w/beta + w/beta^2 added digit by digit: 0.3,3 / 2 = 0.0,3,6,3
+    ("div", ("0.3,3",), lambda w, params: DigitWord(
+        0, tuple(map(sum, zip((0, *w.digits, 0), (0, 0, *w.digits)))))),
 ])
 def test_apply_rule_checks_shape(monkeypatch, rule, words, planted):
     words = [parse_word(t, P1) for t in words]
@@ -215,6 +219,16 @@ def test_apply_rule_checks_shape(monkeypatch, rule, words, planted):
     _plant_rule(monkeypatch, rule, planted)
     with pytest.raises(AssertionError, match=f"rule {rule} gave a word of the wrong shape"):
         apply_rule(rule, P1, *words)
+
+
+def test_cross_route_catches_a_longer_search_word(monkeypatch):
+    # the search returns a shortest word; nine digits more make it longer
+    # than a constructed word of the same value
+    real = expand.synth_finite
+    monkeypatch.setattr(expand, "synth_finite",
+                        lambda x, params: DigitWord(0, real(x, params).digits + (0,) * 9))
+    assert verify.check_cross_route(None) == (
+        False, "search word longer than the constructed one for (-2+1*b)/16")
 
 
 # -- a failed self-check is a report or one error line, not a traceback ----
