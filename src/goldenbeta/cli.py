@@ -217,19 +217,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="comma-separated depths, e.g. 6,12")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = common(sub.add_parser("verify", help="run the self-check suite"))
+    p = sub.add_parser("verify", help="run the self-check suite")
+    p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
     p.add_argument("--level", choices=verify.LEVELS, default="fast")
     p.add_argument("--seed", type=int, default=0)
     return top, sub.choices
 
 
 def _run(args) -> int:
-    params = make_params(args.k, args.parity)
     command, cert = args.command, None
     if command == "verify":
         report = verify.verify_suite(args.level, args.seed)
         _emit_json(report, args.out)
         return 0 if report["passed"] else 1
+    params = make_params(args.k, args.parity)
     if command in ("classify", "enumerate", "synth"):
         given = args.x
         x = parse_field(given, params)

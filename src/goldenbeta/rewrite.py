@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from .algebra import ODD, DomainError, FieldElem, Params
 from .words import (
     IND_INF,
-    MINUS,
-    PLUS,
     DigitWord,
     EvPeriodicWord,
     Word,
@@ -82,11 +80,11 @@ def b_separate(w: DigitWord, params: Params, _steps=None) -> DigitWord:
 
 # -- carry and borrow ----------------------------------------------------
 
-# Per direction: rule name, integer part taken, first-digit class, the
-# alternation ``ind`` looks for, and the first digits a shift by k+2 allows.
+# Per direction: rule name, integer part taken, first-digit class, and the
+# first digits a shift by k+2 allows.
 _TRADES = {
-    +1: ("carry", 0, "big", PLUS, "{k+2..2k+1}"),
-    -1: ("borrow", 1, "small", MINUS, "{0..k-1}"),
+    +1: ("carry", 0, "big", "{k+2..2k+1}"),
+    -1: ("borrow", 1, "small", "{0..k-1}"),
 }
 
 
@@ -112,16 +110,16 @@ def _trade(w: Word, params: Params, s: int) -> Word:
     position v takes -s(k+1) when v is odd, +s(k+1) when it is even.
     """
     _require_odd(params)
-    rule, int_part, digit_class, sign, first_range = _TRADES[s]
+    rule, int_part, digit_class, first_range = _TRADES[s]
     k = params.k
     if w.int_part != int_part:
         raise DomainError(f"{rule} expects integer part {int_part}")
     pre, period = pre_period(w)
     (b,), period = split_at(pre, period, 1)
     pre = pre[1:]
-    if not getattr(params, f"in_{digit_class}")(b):
+    if not (params.in_big(b) if s > 0 else params.in_small(b)):
         raise DomainError(f"{rule} needs a {digit_class} first digit, got {b}")
-    v = ind(sign, (pre, period), params)
+    v = ind(s < 0, (pre, period), params)  # the tail starts in b's other class
     head = b - s * (k + 1 if v == 1 else k + 2)
     if not 0 <= head <= params.m:
         raise DomainError(f"{rule} needs a first digit in {first_range}, got {b}")
@@ -278,26 +276,28 @@ class RewriteTrace:
 _RULES = {
     "cr": (cr_step, None, None),
     "bsep": (b_separate, None, is_B_separated),
-    "carry": (carry_T_plus, None, lambda w, params: w.is_valid(params) and w.int_part == 1),
-    "borrow": (borrow_T_minus, None, lambda w, params: w.is_valid(params) and w.int_part == 0),
+    "carry": (carry_T_plus, None, lambda w, params: w.int_part == 1 and w.is_valid(params)),
+    "borrow": (borrow_T_minus, None, lambda w, params: w.int_part == 0 and w.is_valid(params)),
     "reduce": (reduce_digits, None, lambda w, params: max(w.digits, default=0) <= params.k + 1),
-    "mulbeta": (mul_beta_word, FieldElem.mul_beta, lambda w, params: w.is_valid(params)),
-    "div": (div_word_by_k1, lambda x: x / (x.params.k + 1), lambda w, params: w.is_valid(params)),
-    "add": (add_words, FieldElem.__add__, lambda w, params: w.is_valid(params)),
+    "mulbeta": (mul_beta_word, FieldElem.mul_beta, DigitWord.is_valid),
+    "div": (div_word_by_k1, lambda x: x / (x.params.k + 1), DigitWord.is_valid),
+    "add": (add_words, FieldElem.__add__, DigitWord.is_valid),
 }
 
 RULES = tuple(_RULES)
 
 
 def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
-    """Apply ``rule`` to ``inputs``; raise unless the output keeps the
-    rule's value law and shape law."""
+    """Apply ``rule`` to ``inputs``, valid words; raise unless the output
+    keeps the rule's value law and shape law."""
     if rule not in _RULES:
         raise DomainError(f"unknown rewrite rule {rule!r}")
     if rule not in ("carry", "borrow") and any(isinstance(w, EvPeriodicWord) for w in inputs):
         raise DomainError(f"{rule} takes finite words, not periodic ones")
     if len(inputs) != (2 if rule == "add" else 1):
         raise DomainError("add takes two words" if rule == "add" else f"{rule} takes one word")
+    if not all(w.is_valid(params) for w in inputs):
+        raise DomainError(f"{rule} takes words with digits in 0..{params.m}")
     fn, value_law, shape_law = _RULES[rule]
     steps: list[tuple[str, int]] = []
     if rule == "bsep":

@@ -109,10 +109,6 @@ def check_one_family(rng, depth=8):
     return True, f"k<=3, depth={depth}"
 
 
-# the rule of each value-preservation trial, in turn
-_TRIAL_RULES = ("cr", "bsep", "carry", "borrow", "reduce", "add", "div", "mulbeta")
-
-
 def _trial_words(rule: str, rng, params: Params) -> tuple[Word, ...]:
     """Random input words for one trial of ``rule``, inside its domain."""
     k = params.k
@@ -137,7 +133,7 @@ def check_value_preservation(rng, samples=1000):
     params_pool = [make_params(k, ODD) for k in (1, 2, 3)]
     for trial in range(samples):
         params = params_pool[trial % len(params_pool)]
-        rule = _TRIAL_RULES[trial % 8]
+        rule = rewrite.RULES[trial % len(rewrite.RULES)]
         rewrite.apply_rule(rule, params, *_trial_words(rule, rng, params))
     return True, f"{samples} randomized trials"
 

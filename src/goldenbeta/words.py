@@ -118,7 +118,7 @@ def _primitive_period(per: tuple[int, ...]) -> tuple[int, ...]:
 
 _WORD_RE = re.compile(
     r"^(?P<int>\d+)\.(?P<pre>(?:-?\d+(?:,-?\d+)*)?)"
-    r"(?P<per>,?\((?:-?\d+(?:,-?\d+)*)?\)\*)?$"
+    r"(?:,?\((?P<per>(?:-?\d+(?:,-?\d+)*)?)\)\*)?$"
 )
 
 
@@ -126,22 +126,17 @@ def parse_word(text: str, params: Params) -> Word:
     m = _WORD_RE.match(text.strip())
     if not m:
         raise ParseError(f"malformed word literal: {text!r}")
-    pre_text, per_text = m.group("pre"), m.group("per")
-    if per_text is not None:
-        per_text = per_text.lstrip(",")[1:-2]
-        if not per_text:
-            raise ParseError(f"empty period in {text!r}")
+    pre_text, per_text = m.group("pre"), m.group("per")  # per: None, or inside ( )*
+    if per_text == "":
+        raise ParseError(f"empty period in {text!r}")
     try:
         int_part = int(m.group("int"))
         pre = tuple(int(t) for t in pre_text.split(",")) if pre_text else ()
         per = None if per_text is None else tuple(int(t) for t in per_text.split(","))
     except ValueError:  # past the interpreter's limit on digits per int
         raise ParseError("a number in the word literal has too many digits") from None
-    if per is None:
-        _check_digits(pre, params, text)
-        return DigitWord(int_part, pre)
-    _check_digits(pre + per, params, text)
-    return EvPeriodicWord(int_part, pre, per)
+    _check_digits(pre + (per or ()), params, text)
+    return DigitWord(int_part, pre) if per is None else EvPeriodicWord(int_part, pre, per)
 
 
 def _check_digits(digits: tuple[int, ...], params: Params, text: str) -> None:
@@ -198,24 +193,18 @@ def is_B_separated(w: Word, params: Params) -> bool:
     )
 
 
-PLUS, MINUS = "plus", "minus"
-
-
-def ind(sign: str, tail, params: Params) -> int | None:
-    """First index breaking the alternating small/big (plus) or big/small
-    (minus) pattern, or IND_INF (None) if the alternation never breaks.
+def ind(big: bool, tail, params: Params) -> int | None:
+    """First index breaking the small/big alternation whose first digit is
+    big when ``big`` is true, or IND_INF (None) if it never breaks.
 
     ``tail`` is a (preperiod, period) pair; a finite tail has the period
     (0,).  Past the preperiod, digits and the pattern repeat together with
     period lcm(L, 2), which divides 2L, so a scan of the preperiod and two
     periods decides every case.
     """
-    if sign not in (PLUS, MINUS):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     pre, per = tail
-    big = sign == MINUS  # whether the digit at position i should be big
     for i, d in enumerate(pre + per + per, 1):
-        if params.in_big(d) != big:
+        if params.in_big(d) != big:  # ``big``: whether digit i should be big
             return i
         big = not big
     return IND_INF

@@ -125,6 +125,17 @@ def test_domain_error_exit(capsys):
     assert main(["rewrite", "carry", "0.1,2"]) == 3
 
 
+@pytest.mark.parametrize("rule, err", [
+    ("div", "division by k+1 expects integer part 0"),
+    ("mulbeta", "multiplication by beta expects integer part 0"),
+])
+def test_rule_refuses_integer_part(rule, err, capsys):
+    assert main(["rewrite", rule, "1.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("rule", ["cr", "bsep", "carry", "borrow", "reduce", "mulbeta",
                                   "div", "add"])
 def test_rewrite_refuses_even_parity(rule, capsys):
@@ -376,7 +387,7 @@ _ARGVS = [
     # unknown options at both levels
     ["--bogus"], ["--bogus", "census"], ["census", "--bogus"],
     ["census", "--bogus", "x", "-z"], ["classify", "1/2", "--bogus=3"], ["ones", "-x1"],
-    ["census", "--", "--bogus"],
+    ["census", "--", "--bogus"], ["verify", "--k", "2"],
 ]
 
 
@@ -400,6 +411,17 @@ def test_unknown_option_after_command_is_a_top_level_error():
     assert (code, out) == (2, "")
     assert err.startswith("usage: goldenbeta [-h]")
     assert err.splitlines()[-1] == "goldenbeta: error: unrecognized arguments: --bogus"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--k", "2"], ["verify", "--parity", "even"]])
+def test_verify_takes_no_system_options(argv, capsys):
+    # verify_suite reads only the level and the seed
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    last = captured.err.splitlines()[-1]
+    assert last == f"goldenbeta: error: unrecognized arguments: {' '.join(argv[1:])}"
 
 
 def test_verify_fast(capsys):

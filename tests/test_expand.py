@@ -207,6 +207,15 @@ def test_construct_route_examples():
                 assert construct_route(x, P1) is not None
 
 
+@pytest.mark.parametrize("x", [
+    E1.from_rational(1, 2),  # even parity: no quadratic base to build in
+    P1.from_rational(1, 3),  # the prime 3 lies outside k+1 = 2
+    P1.from_rational(1, 2 ** 65),  # (k+1)^n with n past 64
+], ids=["even-parity", "prime-outside-k1", "n-past-64"])
+def test_construct_route_refuses_unsupported_denominators(x):
+    assert construct_route(x, x.params) is None
+
+
 def test_construct_route_fallback(caplog):
     # find a member the constructive route gives up on; the wrapper must
     # still return a correct word via the search, and say so at DEBUG only

@@ -11,8 +11,6 @@ from goldenbeta import expand, rewrite
 from goldenbeta.algebra import DomainError, FieldElem, ODD, make_params
 from goldenbeta.words import (
     IND_INF,
-    MINUS,
-    PLUS,
     DigitWord,
     EvPeriodicWord,
     ind,
@@ -176,7 +174,7 @@ def test_carry_injective_within_ind_class():
     by_class = {}
     for _ in range(1000):
         w = _prepend(_random_tail(rng, P1), rng.randint(2, 3), 0)
-        v = ind(PLUS, _tail(w), P1)
+        v = ind(False, _tail(w), P1)
         if v != 1 and (w.digits[0] if isinstance(w, DigitWord) else w.digit_at(1)) == 2:
             continue  # carry restricted to B-minus heads for v >= 2
         key = (v if v == IND_INF else int(v))
@@ -209,7 +207,7 @@ def ref_carry_T_plus(w, params):
     if not params.in_big(b):
         raise DomainError(f"carry needs a big first digit, got {b}")
     tail = _tail(w)
-    v = ind(PLUS, tail, params)
+    v = ind(False, tail, params)
     if v == IND_INF or int(v) >= 2:
         # these branches lower the head by k+2, so b = k+1 is out of range
         if b not in range(k + 2, params.m + 1):
@@ -240,7 +238,7 @@ def ref_borrow_T_minus(w, params):
     if not params.in_small(a):
         raise DomainError(f"borrow needs a small first digit, got {a}")
     tail = _tail(w)
-    v = ind(MINUS, tail, params)
+    v = ind(True, tail, params)
     if v == IND_INF or int(v) >= 2:
         # these branches raise the head by k+2, so a = k is out of range
         if a not in range(0, k):
@@ -772,6 +770,17 @@ def test_apply_rule_refuses_periodic(rule):
     words = (w1("0.1"), w1("0.(1)*")) if rule == "add" else (w1("0.3,(0,3)*"),)
     with pytest.raises(DomainError, match="takes finite words"):
         apply_rule(rule, P1, *words)
+
+
+@pytest.mark.parametrize("rule", ["div", "add"])
+@pytest.mark.parametrize("digit", [-1, 4])
+def test_apply_rule_refuses_digits_out_of_range(rule, digit):
+    # the caller's word is refused before the rule runs, not blamed on the
+    # rule's output shape
+    words = (DigitWord(0, (1, digit)),) * (2 if rule == "add" else 1)
+    with pytest.raises(DomainError) as info:
+        apply_rule(rule, P1, *words)
+    assert str(info.value) == f"{rule} takes words with digits in 0..3"
 
 
 def test_apply_rule_value_check(monkeypatch):

@@ -1,6 +1,7 @@
 """Word parsing, evaluation, index functions, B-separation."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 from goldenbeta.algebra import EVEN, FieldElem, ODD, make_params
 from goldenbeta.words import (
     IND_INF,
-    MINUS,
-    PLUS,
     DigitWord,
     EvPeriodicWord,
     ParseError,
@@ -43,6 +42,96 @@ def test_parse_rejects():
         parse_word("0.1,()*", P1)
     with pytest.raises(ParseError):
         parse_word("0.1,,2", P1)
+
+
+# ``parse_word`` as it stood when its period group held the parentheses and
+# each branch checked its own digits, kept as the reference for the
+# one-check form.
+REF_WORD_RE = re.compile(
+    r"^(?P<int>\d+)\.(?P<pre>(?:-?\d+(?:,-?\d+)*)?)"
+    r"(?P<per>,?\((?:-?\d+(?:,-?\d+)*)?\)\*)?$"
+)
+
+
+def ref_parse_word(text, params):
+    m = REF_WORD_RE.match(text.strip())
+    if not m:
+        raise ParseError(f"malformed word literal: {text!r}")
+    pre_text, per_text = m.group("pre"), m.group("per")
+    if per_text is not None:
+        per_text = per_text.lstrip(",")[1:-2]
+        if not per_text:
+            raise ParseError(f"empty period in {text!r}")
+    try:
+        int_part = int(m.group("int"))
+        pre = tuple(int(t) for t in pre_text.split(",")) if pre_text else ()
+        per = None if per_text is None else tuple(int(t) for t in per_text.split(","))
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError("a number in the word literal has too many digits") from None
+    if per is None:
+        ref_check_digits(pre, params, text)
+        return DigitWord(int_part, pre)
+    ref_check_digits(pre + per, params, text)
+    return EvPeriodicWord(int_part, pre, per)
+
+
+def ref_check_digits(digits, params, text):
+    for d in digits:
+        if not 0 <= d <= params.m:
+            raise ParseError(f"digit {d} out of range 0..{params.m} in {text!r}")
+
+
+def parse_outcome(parse, text, params):
+    """The word ``parse`` reads from ``text``, with its type, or the
+    message of the ``ParseError`` it raises."""
+    try:
+        w = parse(text, params)
+    except ParseError as exc:
+        return "refused", str(exc)
+    return type(w), w
+
+
+_LONG = "7" * 5000  # past the interpreter's default limit on digits per int
+
+PARSE_CORPUS = [
+    # finite and periodic words, canonicalised periods, surrounding blanks
+    "0.2,2", "1.0,(1,2)*", "0.(2,1)*", "0.", "2.0", "0.3,(0,3)*", "0.1,(3)*",
+    "0.(1,2,1,2)*", "0.1,2,(1,2)*", "0.1(2)*", " 0.3 ", "0.(0)*", "1.(0)*",
+    # empty periods
+    "0.1()*", "0.()*", "0.1,()*", f"0.{_LONG}()*",
+    # a digit out of range in the preperiod and in the period
+    "0.4,1", "0.-1,(1)*", "0.1,(4)*", "0.(1,-1)*", "0.6,(1)*", "0.1,(6)*",
+    # a 5,000-digit number in each place
+    f"0.{_LONG}", f"0.1,({_LONG})*", f"{_LONG}.1", f"0.-{_LONG}",
+    # malformed literals
+    "0.1,,2", "x", "", "1", ".1", "0.(1)", "0.1,(2)*3", "0.1,", "0,(1)*", "0.((1))*",
+]
+
+
+@pytest.mark.parametrize("params", [P1, P2, make_params(2, EVEN)], ids=["k1", "k2", "k2-even"])
+@pytest.mark.parametrize("text", PARSE_CORPUS, ids=lambda t: t if len(t) < 40 else t[:20] + "...")
+def test_parse_word_matches_reference(text, params):
+    assert parse_outcome(parse_word, text, params) == parse_outcome(ref_parse_word, text, params)
+
+
+@st.composite
+def word_literals(draw):
+    """Mostly well-formed word literals, digits drawn past both ends of
+    0..m, with some free strings over the literal alphabet."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet="0123456789-.,()* ", max_size=14))
+    digits = st.lists(st.integers(-2, 9).map(str), max_size=5).map(",".join)
+    text = f"{draw(st.integers(0, 12))}.{draw(digits)}"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["", ","])) + f"({draw(digits)})*"
+    return text
+
+
+@given(word_literals(), st.integers(1, 4), st.sampled_from([ODD, EVEN]))
+@settings(max_examples=600)
+def test_parse_word_matches_reference_on_drawn_literals(text, k, parity):
+    params = make_params(k, parity)
+    assert parse_outcome(parse_word, text, params) == parse_outcome(ref_parse_word, text, params)
 
 
 def test_roundtrip():
@@ -98,25 +187,26 @@ def test_is_B_separated():
 
 
 def test_ind_examples():
-    assert ind(PLUS, ((2, 1), (0,)), P1) == 1
-    assert ind(PLUS, ((0, 1), (0,)), P1) == 2
-    assert ind(PLUS, ((), (0, 3)), P1) == IND_INF
-    assert ind(MINUS, ((0,), (0,)), P1) == 1
-    assert ind(MINUS, ((), (3, 0)), P1) == IND_INF
-    assert ind(MINUS, ((3, 0, 3, 3), (0,)), P1) == 4
-    # finite tail continued by zeros: 0 is small, breaking MINUS at odd pos
-    assert ind(MINUS, ((3, 0, 3, 0), (0,)), P1) == 5
+    assert ind(False, ((2, 1), (0,)), P1) == 1
+    assert ind(False, ((0, 1), (0,)), P1) == 2
+    assert ind(False, ((), (0, 3)), P1) == IND_INF
+    assert ind(True, ((0,), (0,)), P1) == 1
+    assert ind(True, ((), (3, 0)), P1) == IND_INF
+    assert ind(True, ((3, 0, 3, 3), (0,)), P1) == 4
+    # finite tail continued by zeros: 0 is small, breaking the big-first
+    # alternation at an odd position
+    assert ind(True, ((3, 0, 3, 0), (0,)), P1) == 5
 
 
 def test_ind_prefix_determined():
     rng = random.Random(1)
     for _ in range(300):
         tail = tuple(rng.randint(0, 3) for _ in range(8))
-        v = ind(PLUS, (tail, (0,)), P1)
+        v = ind(False, (tail, (0,)), P1)
         if v is not IND_INF and v <= len(tail):
             # changing digits past v does not move the index
             mutated = tail[: int(v)] + tuple(rng.randint(0, 3) for _ in range(4))
-            assert ind(PLUS, (mutated, (0,)), P1) == v
+            assert ind(False, (mutated, (0,)), P1) == v
 
 
 def test_word_tail():
@@ -210,6 +300,9 @@ def test_word_value_matches_reference(pw):
     assert (got.p, got.q, got.r) == (want.p, want.q, want.r)
 
 
+PLUS, MINUS = "plus", "minus"  # the alternations ``ref_ind`` reads by name
+
+
 def ref_ind(sign, tail, params):
     """The index function ``ind`` replaced: one digit closure per tail form,
     an unbounded scan for finite tails and a horizon for periodic ones."""
@@ -267,7 +360,7 @@ def tails_with_params(draw):
 @settings(max_examples=600)
 def test_ind_matches_reference(pt, sign):
     params, ref_tail, tail = pt
-    assert ind(sign, tail, params) == ref_ind(sign, ref_tail, params)
+    assert ind(sign == MINUS, tail, params) == ref_ind(sign, ref_tail, params)
 
 
 @given(st.lists(st.integers(0, 9), max_size=6), st.lists(st.integers(0, 9), min_size=1, max_size=4),
