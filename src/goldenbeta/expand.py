@@ -13,26 +13,23 @@ There is one graph per denominator, shared across points: ``_graph``
 returns it from a module-level cache, states get integer ids, and a
 state's (digit, state id) edges are resolved once, when it is first
 branched, as is its jump table: its ``_TAIL``-digit words in lexicographic
-order, each with the state it ends in.  The cache is bounded by
-``GRAPH_STATE_BUDGET`` states summed over its graphs, a jump table of n
-words counting as ceil(n/2) states; a lookup evicts the least recently used
-graphs over that bound, so the cache holds at most the bound plus what one
-query adds.  One lock guards the cache and the graphs, which threads may
-share.
+order, each with the state it ends in.  A lookup evicts the least recently
+used graphs over ``GRAPH_STATE_BUDGET``, so the cache holds at most that
+bound plus what one query adds.  One lock guards the cache and the graphs,
+which threads may share.
 Every query walks the same graph: the number of valid prefixes at a depth
 is the number of paths of that length out of x, a dynamic program over the
 ids; listings and branch witnesses are the first prefixes of one
-lexicographic walk (each remainder in the interval admits a digit, so the
-graph has no dead ends and the walk may stop early), which reads a head of
-depth % ``_TAIL`` digits and then jumps ``_TAIL`` digits at a time, and
-joins the words of each state one jump short of the depth onto the path
-that reached it; and ``synth_finite`` is a breadth-first search from x to
-the state 0.
+lexicographic walk, ``_walk`` (each remainder in the interval admits a
+digit, so the graph has no dead ends and the walk may stop early), which
+alone sizes a listing and refuses one over ``LISTING_BUDGET`` digits
+(prefixes times depth); and ``synth_finite`` is a breadth-first search
+from x to the state 0.
 
 Points of the distinguished set (denominator a power of k+1) get finite
 expansion certificates; all other interior points get finite-depth branch
-witnesses.  No call accepts a depth over ``DEPTH_BUDGET``, and no listing
-holds more than ``LISTING_BUDGET`` digits (prefixes times depth).
+witnesses.  No call accepts a depth over ``DEPTH_BUDGET``, though
+``branch_witness`` may walk up to 40 times the depth it accepts.
 """
 
 from __future__ import annotations
@@ -77,8 +74,9 @@ class Classification:
     certificate: object  # word, (denominator, offending prime), or endpoint tag
 
 
-# Most digits (prefixes times depth) ``prefixes_at`` lists in one call: the
-# listing's time and memory, and the CLI's output, grow with both.
+# Most digits (prefixes times depth) one listing holds, be it ``prefixes_at``'s
+# or one of ``branch_witness``'s attempts; ``_walk`` refuses a larger request.
+# The listing's time and memory, and the CLI's output, grow with both.
 LISTING_BUDGET = 2 ** 23
 # Largest depth any call accepts: the per-depth counts of a continuum point
 # grow linearly in digits, so their memory grows with the square of the depth.
@@ -115,11 +113,7 @@ class PrefixTree:
 
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth
-        n = self.count_at(d)
-        if n * d > LISTING_BUDGET:
-            raise DomainError(f"listing at depth {d} is over the listing budget "
-                              f"of {LISTING_BUDGET} digits")
-        return _walk(self.graph, self.root, d, n)
+        return _walk(self.graph, self.root, d, self.count_at(d))
 
     def count_at(self, depth: int) -> int:
         if not 0 <= depth <= self.depth:
@@ -269,7 +263,11 @@ def _walk(g: _Graph, root: int, depth: int, limit: int) -> list[tuple[int, ...]]
     jump tables; each state it reaches one jump short of ``depth`` emits
     its subtree at once, as the path joined with each word of its table,
     sliced to what ``limit`` still allows.  A depth under ``_TAIL`` lists
-    the root's words directly."""
+    the root's words directly.  A request for over ``LISTING_BUDGET``
+    digits (``limit`` times ``depth``) is refused first."""
+    if limit * depth > LISTING_BUDGET:
+        raise DomainError(f"listing at depth {depth} is over the listing budget "
+                          f"of {LISTING_BUDGET} digits")
     base = depth - _TAIL
     if base < 0:
         return [w for w, _ in g.words(root, depth)][:limit]
@@ -384,9 +382,11 @@ def construct_route(x: FieldElem, params: Params) -> DigitWord | None:
 
     Writes x = (p*beta+q)/(k+1)^n, decomposes p greedily over the F_i, and
     assembles M/(k+1)^n and then the terms n_i/(beta^i (k+1)^(n-i)), all
-    nonnegative, by repeated word addition.  Returns None when the assembly
-    would need a negative term (the subtraction step the construction
-    does not supply) or grows past ``TERM_BUDGET`` additions.
+    nonnegative, by repeated word addition.  Returns None in even parity; for
+    a denominator not a power of k+1, or past (k+1)^64; when the assembly
+    needs a negative term (a subtraction it does not supply) or more than
+    ``TERM_BUDGET`` additions; and when its last borrow meets a word shaped
+    1.k(big)..., which no borrow pattern covers.
     """
     if params.parity != ODD:
         return None
@@ -490,8 +490,9 @@ def branch_witness(x: FieldElem, depth: int, budget: int,
     """Pairwise-distinct extendable expansion prefixes of x, certifying
     expansion multiplicity at finite depth: the first min(budget,
     2**(depth//3)) prefixes of the lexicographic walk over x's remainder
-    graph, at the first depth >= ``depth`` that has that many.  The graph
-    has no dead ends, so every listed prefix extends to an expansion."""
+    graph, at the first depth from ``depth`` to 40 * ``depth`` that has that
+    many.  The graph has no dead ends, so every listed prefix extends to an
+    expansion.  Each attempt is a listing, refused over ``LISTING_BUDGET``."""
     _check_depth(depth)
     if budget < 0:
         raise DomainError("budget must be nonnegative")

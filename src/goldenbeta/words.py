@@ -136,7 +136,8 @@ def parse_word(text: str, params: Params) -> Word:
     except ValueError:  # past the interpreter's limit on digits per int
         raise ParseError("a number in the word literal has too many digits") from None
     _check_digits(pre + (per or ()), params, text)
-    return DigitWord(int_part, pre) if per is None else EvPeriodicWord(int_part, pre, per)
+    # a period of zeros reads as the finite word of its preperiod
+    return EvPeriodicWord(int_part, pre, per) if any(per or ()) else DigitWord(int_part, pre)
 
 
 def _check_digits(digits: tuple[int, ...], params: Params, text: str) -> None:

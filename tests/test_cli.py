@@ -119,6 +119,16 @@ def test_rewrite_emitted_words_reparse(capsys):
         assert (word_value(reparsed, P1) - value).is_zero()
 
 
+def test_rewrite_zero_period_is_finite(capsys):
+    # a period of zeros spells a finite word, which mulbeta takes
+    code, finite = run_json(capsys, "rewrite", "mulbeta", "0.1")
+    assert code == 0 and finite["result"] == "0.2,2" and finite["certificate"]["value"] == "1"
+    for text in ("0.1,(0)*", "0.1,0,(0)*", "0.1,(0,0)*"):
+        code, obj = run_json(capsys, "rewrite", "mulbeta", text)
+        assert code == 0
+        assert (obj["result"], obj["certificate"]) == (finite["result"], finite["certificate"])
+
+
 def test_domain_error_exit(capsys):
     assert main(["classify", "5/2"]) == 3
     assert main(["synth", "1/3"]) == 3

@@ -414,6 +414,23 @@ def test_branch_witness_refuses_member():
         branch_witness(parse_field("9/5", P1), 12, 8, P1)  # above m/(beta-1)
 
 
+def test_branch_witness_listing_budget(monkeypatch):
+    # each attempt is a listing of target * depth digits, refused past the
+    # budget with the message ``prefixes_at`` gives
+    x = parse_field("1/3", P1)
+    monkeypatch.setattr(expand, "LISTING_BUDGET", 256 * 24)
+    assert len(branch_witness(x, 24, 256, P1)) == 256
+    monkeypatch.setattr(expand, "LISTING_BUDGET", 256 * 24 - 1)
+    with pytest.raises(DomainError) as refused:
+        branch_witness(x, 24, 256, P1)
+    assert str(refused.value) == ("listing at depth 24 is over the listing "
+                                  f"budget of {256 * 24 - 1} digits")
+    tree = enumerate_prefixes(x, 24, P1)
+    with pytest.raises(DomainError) as listed:
+        tree.prefixes_at(24)
+    assert str(listed.value) == str(refused.value)
+
+
 def test_branch_witness_even():
     x = parse_field("1/5", E1)
     ws = branch_witness(x, 24, 256, E1)
@@ -709,14 +726,15 @@ def test_graph_cache_stops_counting_evicted_graphs(monkeypatch):
     # a query in another thread may still walk a graph that a lookup has
     # just evicted; the states and jump tables it adds there no longer count
     # toward the bound
+    depth = 2 * expand._TAIL + 1
+    count = enumerate_prefixes(parse_field("1/3", P1), depth, P1).count_at(depth)
     monkeypatch.setattr(expand, "GRAPH_STATE_BUDGET", 0)
     monkeypatch.setattr(expand, "_CACHE", expand._Cache())
     g, root = expand._graph(parse_field("1/3", P1), P1)
     expand._graph(parse_field("1/5", P1), P1)
     assert list(expand._CACHE.graphs) == [(P1, 5)]
-    depth = 2 * expand._TAIL + 1
-    assert len(expand._walk(g, root, depth, 10 ** 6)) == enumerate_prefixes(
-        parse_field("1/3", P1), depth, P1).count_at(depth)
+    # one more than there are, so listing too many or too few shows
+    assert len(expand._walk(g, root, depth, count + 1)) == count
     assert len(g.pairs) > 2
     assert any(t is not None for t in g.jumps)
     cached()

@@ -72,6 +72,8 @@ def ref_parse_word(text, params):
         ref_check_digits(pre, params, text)
         return DigitWord(int_part, pre)
     ref_check_digits(pre + per, params, text)
+    if all(d == 0 for d in per):  # a period of zeros is a finite word
+        return DigitWord(int_part, pre)
     return EvPeriodicWord(int_part, pre, per)
 
 
