@@ -23,6 +23,10 @@ from .words import (
 )
 from .expand import Classification, branch_witness, classify, enumerate_prefixes, synth_finite
 
+# The levels of ``verify.verify_suite``, spelled here so that the CLI can
+# offer them without importing ``verify``.
+LEVELS = ("fast", "full")
+
 __all__ = [
     "EVEN",
     "ODD",

@@ -14,9 +14,9 @@ of such triples, deciding on the integers alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cmp_to_key
 from math import gcd, isqrt
+from operator import attrgetter
 
 ODD = "odd"
 EVEN = "even"
@@ -30,34 +30,70 @@ class DomainError(ValueError):
     """Input outside the domain of an operation."""
 
 
-@dataclass(frozen=True)
-class Params:
+class _Record:
+    """The base of the package's immutable records.  A subclass lists its
+    fields in ``__slots__`` and sets them once, in ``__init__``; assigning
+    or deleting one later raises AttributeError.  Records of one class are
+    equal, and hash alike, when their fields in ``_compared`` are; the repr
+    names the fields in ``_shown``, as a frozen dataclass's does.  Both
+    default to all the slots."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._shown = cls.__dict__.get("_shown", cls.__slots__)
+        cls._key = attrgetter(*cls.__dict__.get("_compared", cls.__slots__))
+
+    def _init(self, *values) -> None:  # the leading fields, in slot order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class Params(_Record):
     """The expansion system: digit bound m, base beta, digit classes.
 
-    k >= 1; odd parity means m = 2k+1 with irrational beta, even parity
-    means m = 2k with beta = k+1.  D is the discriminant k^2+6k+5 (odd
-    parity only).  Any other k or parity raises ParameterError.
+    k >= 1, an int; odd parity means m = 2k+1 with irrational beta, even
+    parity means m = 2k with beta = k+1.  D is the discriminant k^2+6k+5
+    (odd parity only).  Any other k or parity raises ParameterError.
+    Equality reads k and parity; the hash is taken once, for graph lookups.
     """
 
-    k: int
-    parity: str
-    m: int = field(init=False)
-    D: int | None = field(init=False)
+    __slots__ = ("k", "parity", "m", "D", "_hash", "interval_bound")
+    _compared = ("k", "parity")
+    _shown = ("k", "parity", "m", "D")
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ParameterError(f"k must be a positive integer, got {self.k!r}")
-        if self.parity not in (ODD, EVEN):
-            raise ParameterError(f"parity must be 'odd' or 'even', got {self.parity!r}")
-        odd = self.parity == ODD
-        object.__setattr__(self, "m", 2 * self.k + 1 if odd else 2 * self.k)
-        object.__setattr__(self, "D", self.k * self.k + 6 * self.k + 5 if odd else None)
-        # interval_bound, m/(beta-1): beta-k for odd parity, 2 for even
-        # parity.  Built once, as the last attribute set at construction: a
-        # cached_property would write it later through the instance dict,
-        # which on CPython makes every later attribute read on it slower.
-        top = FieldElem(self, 1, -self.k, 1) if odd else FieldElem(self, 0, 2, 1)
+    def __init__(self, k: int, parity: str):
+        if type(k) is not int or k < 1:  # a bool k would pass as 0 or 1
+            raise ParameterError(f"k must be a positive integer, got {k!r}")
+        if parity not in (ODD, EVEN):
+            raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+        odd = parity == ODD
+        self._init(k, parity, 2 * k + 1 if odd else 2 * k,
+                   k * k + 6 * k + 5 if odd else None, hash((k, parity)))
+        # interval_bound, m/(beta-1): beta-k for odd parity, 2 for even parity
+        top = FieldElem(self, 1, -k, 1) if odd else FieldElem(self, 0, 2, 1)
         object.__setattr__(self, "interval_bound", top)
+
+    def __hash__(self):
+        return self._hash
 
     def in_small(self, d: int) -> bool:
         return 0 <= d <= self.k
@@ -126,31 +162,37 @@ def floor_pq(p: int, q: int, r: int, params: Params) -> int:
     return (U + s) // (2 * r) if p > 0 else (U - s - 1) // (2 * r)
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(_Record):
     """An exact element (p*beta + q)/r of Q(beta), canonically reduced."""
 
-    params: Params
-    p: int
-    q: int
-    r: int = 1
+    __slots__ = ("params", "p", "q", "r")
 
-    def __post_init__(self):
-        p, q, r = self.p, self.q, self.r
+    def __init__(self, params: Params, p: int, q: int, r: int = 1):
         if r == 0:
             raise ZeroDivisionError("FieldElem denominator is zero")
-        if self.params.parity == EVEN and p != 0:
+        if params.parity == EVEN and p != 0:
             # beta is the integer k+1: fold the beta coefficient away.
-            q += p * (self.params.k + 1)
+            q += p * (params.k + 1)
             p = 0
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
+        g = gcd(p, q, r)
         if g > 1:
             p, q, r = p // g, q // g, r // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        init = object.__setattr__
+        init(self, "params", params)
+        init(self, "p", p)
+        init(self, "q", q)
+        init(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElem:
+            return NotImplemented
+        return (self.p == other.p and self.q == other.q and self.r == other.r
+                and (self.params is other.params or self.params == other.params))
+
+    def __hash__(self):
+        return hash((self.params._hash, self.p, self.q, self.r))
 
     # -- ring operations -------------------------------------------------
 

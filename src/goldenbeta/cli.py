@@ -16,6 +16,10 @@ the rest to that command's parser and reports leftover words through the
 top-level parser, as ``parse_args`` would; any other argv (empty, ``-h``,
 ``--``, an unknown word) goes to the top-level parser.
 
+Start-up imports only what every command uses: ``verify`` and ``csv`` are
+imported by the commands that use them, and ``--level`` offers
+``goldenbeta.LEVELS``.
+
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a library self-check such as ``apply_rule``'s, reported in one
 ``error:`` line), 2 usage error (including an --out path that cannot be
@@ -25,7 +29,6 @@ written), 3 domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -46,7 +49,7 @@ from .algebra import (
     parse_field,
 )
 from .words import ParseError, format_word, parse_word
-from . import expand, rewrite, verify
+from . import LEVELS, expand, rewrite
 
 
 def _payload(params: Params, input_repr, result, certificate) -> dict:
@@ -143,6 +146,8 @@ def census_sweep(params: Params, den_bound: int, num_bound: int,
 
 
 def _census_csv(rows: list[dict]) -> str:
+    import csv  # only census --format csv writes CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "k", "parity", "verdict", "certificate", "prefix_counts"])
@@ -219,7 +224,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("verify", help="run the self-check suite")
     p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
-    p.add_argument("--level", choices=verify.LEVELS, default="fast")
+    p.add_argument("--level", choices=LEVELS, default="fast")
     p.add_argument("--seed", type=int, default=0)
     return top, sub.choices
 
@@ -227,7 +232,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _run(args) -> int:
     command, cert = args.command, None
     if command == "verify":
-        report = verify.verify_suite(args.level, args.seed)
+        from .verify import verify_suite  # only verify runs the self-checks
+
+        report = verify_suite(args.level, args.seed)
         _emit_json(report, args.out)
         return 0 if report["passed"] else 1
     params = make_params(args.k, args.parity)

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
 
 from .algebra import (
     ODD,
     DomainError,
     FieldElem,
     Params,
+    _Record,
     fe_membership,
     floor_pq,
     format_field,
@@ -68,10 +68,12 @@ Edges = tuple[tuple[int, int], ...]
 Jumps = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    certificate: object  # word, (denominator, offending prime), or endpoint tag
+class Classification(_Record):
+    # certificate: a word, (denominator, offending prime), or an endpoint tag
+    __slots__ = ("verdict", "certificate")
+
+    def __init__(self, verdict: str, certificate: object):
+        self._init(verdict, certificate)
 
 
 # Most digits (prefixes times depth) one listing holds, be it ``prefixes_at``'s
@@ -98,18 +100,19 @@ GRAPH_STATE_BUDGET = 10_000
 FACTOR_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PrefixTree:
+class PrefixTree(_Record):
     """The valid prefixes of x up to ``depth``.  ``counts[d]`` is the number
     of paths of length d out of x's state in the shared remainder graph of
     its denominator; the prefixes are walked off that graph only when
-    listed.  The tree keeps its graph, so listing works after eviction."""
+    listed.  The tree keeps its graph, so listing works after eviction;
+    equality reads x, depth and counts, and the repr x and depth."""
 
-    x: FieldElem
-    depth: int
-    counts: tuple[int, ...] = field(repr=False)
-    graph: _Graph = field(repr=False, compare=False)
-    root: int = field(repr=False, compare=False)
+    __slots__ = ("x", "depth", "counts", "graph", "root")
+    _compared = ("x", "depth", "counts")
+    _shown = ("x", "depth")
+
+    def __init__(self, x: FieldElem, depth: int, counts: tuple[int, ...], graph: _Graph, root: int):
+        self._init(x, depth, counts, graph, root)
 
     def prefixes_at(self, depth: int | None = None) -> list[tuple[int, ...]]:
         d = self.depth if depth is None else depth

@@ -8,9 +8,7 @@ The sequence ties into the base through F_n*beta = F_{n+1} - (-(k+1)/beta)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ODD, FieldElem, ParameterError, Params
+from .algebra import ODD, FieldElem, ParameterError, Params, _Record
 
 
 def f_seq(k: int, up_to: int) -> list[int]:
@@ -23,10 +21,11 @@ def f_seq(k: int, up_to: int) -> list[int]:
     return seq[:up_to]
 
 
-@dataclass(frozen=True)
-class FDecomposition:
-    n: int
-    coeffs: tuple[int, ...]  # coeffs[i] multiplies F_{i+1}
+class FDecomposition(_Record):
+    __slots__ = ("n", "coeffs")  # coeffs[i] multiplies F_{i+1}
+
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
+        self._init(n, coeffs)
 
     @property
     def length(self) -> int:

@@ -15,9 +15,7 @@ Odd-parity systems only: the calculus lives on the quadratic base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ODD, DomainError, FieldElem, Params
+from .algebra import ODD, DomainError, FieldElem, Params, _Record
 from .words import (
     IND_INF,
     DigitWord,
@@ -261,13 +259,12 @@ def div_word_by_k1(w: DigitWord, params: Params) -> DigitWord:
 
 # -- audit trail ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    rule: str
-    input: tuple[Word, ...]
-    output: Word
-    steps: tuple[tuple[str, int], ...]
-    value: FieldElem
+class RewriteTrace(_Record):
+    __slots__ = ("rule", "input", "output", "steps", "value")
+
+    def __init__(self, rule: str, input: tuple[Word, ...], output: Word,
+                 steps: tuple[tuple[str, int], ...], value: FieldElem):
+        self._init(rule, input, output, steps, value)
 
 
 # Each rule's contract, in the order the CLI lists the rules: its

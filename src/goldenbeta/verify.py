@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .fseq import decompose_F, f_seq, fn_identity_check
 from .words import DigitWord, EvPeriodicWord, Word, word_value
-from . import expand, rewrite
+from . import LEVELS, expand, rewrite
 
 
 def _random_finite(rng: random.Random, params: Params, max_len=8) -> DigitWord:
@@ -251,8 +251,6 @@ _FULL_EXTRA = (
     ("cross-route-consistency", check_cross_route),
     ("even-parity-classification", check_even_parity),
 )
-
-LEVELS = ("fast", "full")
 
 
 def verify_suite(level: str = "fast", seed: int = 0) -> dict:

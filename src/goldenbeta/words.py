@@ -18,9 +18,8 @@ integer pairs through ``times_beta``, and only the quotient is a FieldElem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .algebra import FieldElem, Params, times_beta
+from .algebra import FieldElem, Params, _Record, times_beta
 
 IND_INF = None  # ind's answer when the alternation never breaks
 
@@ -29,13 +28,13 @@ class ParseError(ValueError):
     """Malformed word literal."""
 
 
-@dataclass(frozen=True)
-class DigitWord:
-    int_part: int
-    digits: tuple[int, ...]
+class DigitWord(_Record):
+    __slots__ = ("int_part", "digits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
+    def __init__(self, int_part: int, digits: tuple[int, ...]):
+        # set directly, not through _init's loop: rewriting builds many words
+        object.__setattr__(self, "int_part", int_part)
+        object.__setattr__(self, "digits", tuple(digits))
 
     def is_valid(self, params: Params) -> bool:
         return self.int_part >= 0 and all(0 <= d <= params.m for d in self.digits)
@@ -52,15 +51,12 @@ class DigitWord:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class EvPeriodicWord:
-    int_part: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+class EvPeriodicWord(_Record):
+    __slots__ = ("int_part", "preperiod", "period")
 
-    def __post_init__(self):
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
+    def __init__(self, int_part: int, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        pre = tuple(preperiod)
+        per = tuple(period)
         if not per:
             raise ValueError("period must be nonempty")
         per = _primitive_period(per)
@@ -68,8 +64,7 @@ class EvPeriodicWord:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        self._init(int_part, pre, per)
 
     def is_valid(self, params: Params) -> bool:
         return self.int_part >= 0 and all(

@@ -79,6 +79,10 @@ def test_make_params_rejects():
     (-3, ODD, "k must be a positive integer, got -3"),
     (0, EVEN, "k must be a positive integer, got 0"),
     (1.0, ODD, "k must be a positive integer, got 1.0"),
+    # a bool is an int, but True would pass for k = 1, share its cached
+    # graphs and be written as "k": true
+    (True, ODD, "k must be a positive integer, got True"),
+    (False, EVEN, "k must be a positive integer, got False"),
 ])
 def test_params_checks_its_arguments(k, parity, message):
     # the constructor itself refuses, not only make_params

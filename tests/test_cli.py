@@ -449,6 +449,30 @@ def test_verify_fast_optimized():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_cli_import_loads_only_what_it_runs():
+    # a fresh process importing the CLI loads neither dataclasses (nor its
+    # inspect) nor the modules of verify and of CSV output, which load
+    # when their commands run
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import goldenbeta.cli\n"
+        "cold = ('dataclasses', 'inspect', 'csv', 'goldenbeta.verify')\n"
+        "print(sorted(set(cold) & (set(sys.modules) - before)))\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [goldenbeta.cli.main(['census', '--format', 'csv']),\n"
+        "             goldenbeta.cli.main(['verify', '--level', 'fast'])]\n"
+        "print(codes, out.getvalue().startswith('x,k,parity,verdict'), 'csv' in sys.modules,\n"
+        "      'goldenbeta.verify' in sys.modules)\n")
+    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[0, 0] True True True\n"
+
+
 def test_census_empty_window(capsys):
     code, obj = run_json(capsys, "census", "--num-bound", "0")
     assert code == 0
