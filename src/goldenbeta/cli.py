@@ -12,13 +12,16 @@ function json itself uses for it; other shapes take its general path.
 Census takes its window's points from ``algebra.census_elements``.
 
 argv is parsed once: when its first word names a command, ``main`` hands
-the rest to that command's parser and reports leftover words through the
-top-level parser, as ``parse_args`` would; any other argv (empty, ``-h``,
-``--``, an unknown word) goes to the top-level parser.
+the rest to that command's own parser, which equals the full parser's
+subparser for it, and reports leftover words through the full parser, as
+``parse_args`` would; any other argv (empty, ``-h``, ``--``, an unknown
+word) goes to the full parser.  One table, ``_COMMANDS``, feeds both, so a
+command call builds its own parser and the full one only for that error.
 
 Start-up imports only what every command uses: ``verify`` and ``csv`` are
-imported by the commands that use them, and ``--level`` offers
-``goldenbeta.LEVELS``.
+imported by the commands that use them, ``--level`` offers
+``goldenbeta.LEVELS``, and the package imports neither ``logging`` nor
+``threading`` (``expand`` logs once the program has loaded ``logging``).
 
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a library self-check such as ``apply_rule``'s, reported in one
@@ -180,53 +183,59 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-@cache  # parse_args leaves the parsers unchanged, so in-process callers share them
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its command parsers, by command name."""
-    top = _Parser(
-        prog="goldenbeta",
-        description="Exact expansion analysis in generalized golden ratio bases.",
-    )
+_OUT = ("--out", dict(metavar="PATH", default=None, help="write output to PATH"))
+_SYSTEM = (("--k", dict(type=int, default=1, help="digit parameter k >= 1")),
+           ("--parity", dict(choices=(ODD, EVEN), default=ODD, help="odd: m=2k+1 digits, "
+                             "quadratic base; even: m=2k, integer base")), _OUT)
+
+# Each command's help line and (flag or name, add_argument keywords) specs,
+# in the order its parser adds them; both builders below read this table.
+_COMMANDS = {
+    "classify": ("countable/continuum verdict for a point", _SYSTEM + (
+        ("x", dict(help="field literal, e.g. 3/4 or (1+1*b)/6")),)),
+    "enumerate": ("all valid expansion prefixes of a point", _SYSTEM + (
+        ("x", {}), ("--depth", dict(type=int, default=8)))),
+    "ones": ("the closed-form expansions of 1 (odd parity)", _SYSTEM + (
+        ("--depth", dict(type=int, default=12)),)),
+    "synth": ("finite expansion of a point with finite expansions", _SYSTEM + (
+        ("x", {}), ("--route", dict(choices=("search", "construct"), default="search")))),
+    "rewrite": ("apply one digit-rewriting rule", _SYSTEM + (
+        ("rule", dict(choices=rewrite.RULES)),
+        ("words", dict(nargs="+", metavar="WORD",
+                       help="word literal(s), e.g. 0.3,2 or 0.3,(0,3)*")))),
+    "census": ("classification sweep over a window of points", _SYSTEM + (
+        ("--den-bound", dict(type=int, default=4)), ("--num-bound", dict(type=int, default=4)),
+        ("--depths", dict(type=depth_list, default="6", help="comma-separated depths, e.g. 6,12")),
+        ("--format", dict(choices=("json", "csv"), default="json")))),
+    "verify": ("run the self-check suite", (
+        _OUT, ("--level", dict(choices=LEVELS, default="fast")),
+        ("--seed", dict(type=int, default=0)))),
+}
+
+
+def _add_arguments(p: _Parser, name: str) -> _Parser:
+    for flag, kwargs in _COMMANDS[name][1]:
+        p.add_argument(flag, **kwargs)
+    return p
+
+
+# parse_args leaves a parser unchanged, so in-process callers share the
+# parsers built below
+@cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command, the same as the full parser's subparser."""
+    return _add_arguments(_Parser(prog=f"goldenbeta {name}"), name)
+
+
+@cache
+def _build_parser() -> _Parser:
+    """The full parser, with every command as a subparser."""
+    top = _Parser(prog="goldenbeta",
+                  description="Exact expansion analysis in generalized golden ratio bases.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--k", type=int, default=1, help="digit parameter k >= 1")
-        p.add_argument("--parity", choices=(ODD, EVEN), default=ODD,
-                       help="odd: m=2k+1 digits, quadratic base; even: m=2k, integer base")
-        p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
-        return p
-
-    p = common(sub.add_parser("classify", help="countable/continuum verdict for a point"))
-    p.add_argument("x", help="field literal, e.g. 3/4 or (1+1*b)/6")
-
-    p = common(sub.add_parser("enumerate", help="all valid expansion prefixes of a point"))
-    p.add_argument("x")
-    p.add_argument("--depth", type=int, default=8)
-
-    p = common(sub.add_parser("ones", help="the closed-form expansions of 1 (odd parity)"))
-    p.add_argument("--depth", type=int, default=12)
-
-    p = common(sub.add_parser("synth", help="finite expansion of a point with finite expansions"))
-    p.add_argument("x")
-    p.add_argument("--route", choices=("search", "construct"), default="search")
-
-    p = common(sub.add_parser("rewrite", help="apply one digit-rewriting rule"))
-    p.add_argument("rule", choices=rewrite.RULES)
-    p.add_argument("words", nargs="+", metavar="WORD",
-                   help="word literal(s), e.g. 0.3,2 or 0.3,(0,3)*")
-
-    p = common(sub.add_parser("census", help="classification sweep over a window of points"))
-    p.add_argument("--den-bound", type=int, default=4)
-    p.add_argument("--num-bound", type=int, default=4)
-    p.add_argument("--depths", type=depth_list, default="6",
-                   help="comma-separated depths, e.g. 6,12")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("verify", help="run the self-check suite")
-    p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
-    p.add_argument("--level", choices=LEVELS, default="fast")
-    p.add_argument("--seed", type=int, default=0)
-    return top, sub.choices
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
+    return top
 
 
 def _run(args) -> int:
@@ -271,15 +280,15 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    top, commands = _build_parser()
-    if argv and argv[0] in commands:
-        # what top.parse_args does with this argv, without its own pass over it
-        args, extras = commands[argv[0]].parse_known_args(
+    if argv and argv[0] in _COMMANDS:
+        # what the full parser's parse_args does with this argv, without
+        # building the other commands' parsers
+        args, extras = _command_parser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
-            top.error("unrecognized arguments: %s" % " ".join(extras))
+            _build_parser().error("unrecognized arguments: %s" % " ".join(extras))
     else:
-        args = top.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except (DomainError, ParameterError, ParseError) as exc:

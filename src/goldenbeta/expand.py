@@ -15,8 +15,11 @@ state's (digit, state id) edges are resolved once, when it is first
 branched, as is its jump table: its ``_TAIL``-digit words in lexicographic
 order, each with the state it ends in.  A lookup evicts the least recently
 used graphs over ``GRAPH_STATE_BUDGET``, so the cache holds at most that
-bound plus what one query adds.  One lock guards the cache and the graphs,
-which threads may share.
+bound plus what one query adds.  One lock, a ``_thread`` lock of the type
+``threading.Lock()`` returns, guards the cache and the graphs, which
+threads may share.  Creating and evicting a graph is logged at DEBUG
+through ``logging`` once the program has loaded it; this module never
+imports ``logging`` or ``threading`` itself.
 Every query walks the same graph: the number of valid prefixes at a depth
 is the number of paths of that length out of x, a dynamic program over the
 ids; listings and branch witnesses are the first prefixes of one
@@ -34,8 +37,8 @@ witnesses.  No call accepts a depth over ``DEPTH_BUDGET``, though
 
 from __future__ import annotations
 
-import logging
-import threading
+import sys
+from _thread import allocate_lock
 
 from .algebra import (
     ODD,
@@ -53,7 +56,14 @@ from .fseq import decompose_F, f_seq
 from .words import DigitWord, EvPeriodicWord, word_value
 from . import rewrite
 
-log = logging.getLogger(__name__)
+
+def _debug(msg: str, *args) -> None:
+    """Log ``msg % args`` at DEBUG, as if from the caller.  Only a program
+    that has loaded ``logging`` can hold a handler to print it, so until one
+    has, this is a dict lookup and ``logging`` stays out of a cold start."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args, stacklevel=2)
 
 COUNTABLY_INFINITE = "CountablyInfinite"
 CONTINUUM = "Continuum"
@@ -217,7 +227,7 @@ _CACHE = _Cache()
 # Guards the cache and its graphs, which threads share: interning a state is
 # a check-then-act.  A resolved edge tuple or jump table never changes, so
 # reading one needs no lock.
-_LOCK = threading.Lock()
+_LOCK = allocate_lock()  # the type threading.Lock() returns
 
 
 def _graph(x: FieldElem, params: Params) -> tuple[_Graph, int]:
@@ -238,16 +248,16 @@ def _graph(x: FieldElem, params: Params) -> tuple[_Graph, int]:
             sizes = [len(t[0]) for t in old.jumps if t is not None]
             cache.states -= len(old.pairs) + sum([(n + 1) // 2 for n in sizes])
             cache.words -= sum(sizes)
-            log.debug("evicted the remainder graph of r=%d (k=%d, %s): %d states, "
-                      "%d jump words", old.r, old.params.k, old.params.parity,
-                      len(old.pairs), sum(sizes))
+            _debug("evicted the remainder graph of r=%d (k=%d, %s): %d states, "
+                   "%d jump words", old.r, old.params.k, old.params.parity,
+                   len(old.pairs), sum(sizes))
         g = graphs.get(key)
         if g is None:
             g = graphs[key] = _Graph(params, r, cache)
-            log.debug("created the remainder graph of r=%d (k=%d, %s); "
-                      "the cache counts %d states toward its bound and holds "
-                      "%d jump words in %d graphs",
-                      r, params.k, params.parity, cache.states, cache.words, len(graphs))
+            _debug("created the remainder graph of r=%d (k=%d, %s); "
+                   "the cache counts %d states toward its bound and holds "
+                   "%d jump words in %d graphs",
+                   r, params.k, params.parity, cache.states, cache.words, len(graphs))
         root = g.state((x.p, x.q))
     return g, root
 
@@ -457,8 +467,7 @@ def synth_finite_constructive(x: FieldElem, params: Params) -> DigitWord:
     w = construct_route(x, params)
     if w is not None:
         return w
-    log.debug("constructive route gave up on %r; "
-              "falling back to search synthesis", x)
+    _debug("constructive route gave up on %r; falling back to search synthesis", x)
     return synth_finite(x, params)
 
 

@@ -10,6 +10,7 @@ beta^-i, through ``_separate`` (big-digit carries) and ``_reduce``
 (digit-range reduction), both in place, and builds a word only when it
 returns.  No rule evaluates a value: ``apply_rule`` alone does, checking
 each rule's output against its row of ``_RULES`` for value and shape.
+A reduction over ``REDUCE_BUDGET`` digits rescanned is refused.
 Odd-parity systems only: the calculus lives on the quadratic base.
 """
 
@@ -155,6 +156,14 @@ def reduce_digits(w: DigitWord, params: Params) -> DigitWord:
     return DigitWord(d[0], tuple(d[1:]))
 
 
+# Most work one ``_reduce`` call may do, in digits rescanned: each pass of
+# its loop (a removal, or the last scan, which finds none) costs the length
+# of the list it rescans.  The pattern 0,0,3 repeated to n digits at k = 1
+# makes about n**2/12 removals, so it costs about n**3/12: 0.28 million
+# digits at n = 150, and at n = 300, 2.25 million, over budget.
+REDUCE_BUDGET = 2_000_000
+
+
 def _reduce(d: list[int], params: Params) -> None:
     """Reduce ``d`` in place, where d[0] is the integer part and d[i] the
     digit of beta^-i.
@@ -163,10 +172,15 @@ def _reduce(d: list[int], params: Params) -> None:
     above k+1 at a position i >= 1: that digit c satisfies c/beta = 1 +
     (c-k-2)/beta + (k+1)/beta^3, and when the landing spot two places right
     is blocked by a (k+1) the deposit slides down the small/big alternation
-    until it finds a small digit.
+    until it finds a small digit.  A call whose removals rescan more than
+    ``REDUCE_BUDGET`` digits in all is refused.
     """
-    k = params.k
+    k, work = params.k, 0
     while True:
+        work += len(d)
+        if work > REDUCE_BUDGET:
+            raise DomainError(f"digit reduction is over its work budget of "
+                              f"{REDUCE_BUDGET} digits rescanned")
         _separate(d, params)
         j = next((i for i in range(len(d) - 1, 0, -1) if d[i] >= k + 2), None)
         if j is None:

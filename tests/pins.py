@@ -1,0 +1,136 @@
+"""Pinned CLI outputs and error lines, written once for tier-1 and CI.
+
+Each pin is ``(want, argv)``.  A str ``want`` is the sha256 of what the
+call writes to stdout, and the call must exit 0.  A ``(code, line)`` want
+is an error: the call exits ``code``, writes nothing to stdout, and its
+stderr ends in ``line``; a domain error (exit 3) writes that line alone,
+while a usage error (exit 2) writes argparse's usage first.
+
+``tests/test_cli.py`` runs every pin in process through ``cli.main``.
+Run as a script, from the root of a checkout,
+
+    PYTHONPATH=src python tests/pins.py
+
+runs each pin in a fresh interpreter, as a user would, prints one line per
+pin and exits 1 when any pin fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+
+# 0,0,3 repeated to 600 digits: digit reduction is over its work budget
+LONG_003 = "0." + ",".join(["0,0,3"] * 200)
+
+PINS = [
+    ("e5f38e2d6c10099ab60f5f3113a7f1dc16a97a1b8b720fc27b9f117e062b54f4", ["classify", "(1+1*b)/6"]),
+    ("eb78aab2b847575ab5194c88b0798ee89f1a65eb4783e2ee705dabb876526736", ["ones", "--depth", "12"]),
+    ("9d1e50dd354b87b64a942377f813b99f4735bf9cdacb5bf7dc2866e9fdf32629",
+     ["synth", "1/2", "--route", "construct"]),
+    ("4d85f6f93192a7e6cd3a5c38a544f634f0d3c10268b3bbee194a957b8ba3043c",
+     ["rewrite", "carry", "0.3,(0,3)*"]),
+    ("1585cb0c2e9b7fe726ff307319cbd047eb9f668762424b333e6629b0a4333b4b",
+     ["enumerate", "1/3", "--depth", "22"]),
+    ("13d53bc8e20b0d326027128aa8a06a78c0cae31f43d75804c3affd6d42c3b786",
+     ["rewrite", "carry", "0.3,0,3"]),
+    ("5910f3f3a04b5d6704692f17d1ba39b30419ee6591a985136770797ffcb0c5d1",
+     ["rewrite", "borrow", "1.0,3,0"]),
+    ("9310080a93c4ba163c25700cc862942cdfb2b5ecaffa2537a94709cc7a8b5c6d",
+     ["rewrite", "borrow", "1.0,(3,0)*"]),
+    ("76039c39b61d5961e3b9e3dfebb9710c69d25881f34f33af4b1bd2a1370aa73f",
+     ["rewrite", "bsep", "0.3,3,3,3"]),
+    ("160602f08b7dbdee6a6648014869e161b78480b1c8bf3a9249b635a38bece9d3",
+     ["enumerate", "1/3", "--depth", "6", "--k", "5"]),
+    ("1d6c21b33fbfdaf0f068d90ee5e9169e2718fe4611995c1f4fcfdea88e2517bd",
+     ["enumerate", "1/3", "--depth", "8", "--k", "2", "--parity", "even"]),
+    ("9ae08b53ce8a758597d7bbacbba23aeaeb50b8054e4d8aa221c212bc2ed12e10",
+     ["enumerate", "1/3", "--depth", "13"]),
+    ("e64459de7be899ef6390866d53e84f0ee0dc5a8d7aea049e4748fd50bb85dd32",
+     ["enumerate", "2/5", "--depth", "11", "--k", "2"]),
+    ("fbd091b04803a3563f34fc2ea16162546b26ffe473e5b38a0faaa657f1be7e8b",
+     ["census", "--den-bound", "4", "--num-bound", "4", "--depths", "6,12", "--format", "csv"]),
+    ("790a80e2b9f44c434a151a23f9ec242455baa1401bccece44ae7be99f6ab0754",
+     ["census", "--den-bound", "3", "--num-bound", "3", "--depths", "6", "--k", "2",
+      "--parity", "even"]),
+    ("d4c3a54801a32165bdf51a858bea9ac0c1ea6712049810ed802334d5bf059e81",
+     ["synth", "5/9", "--k", "2", "--parity", "even"]),
+    ("422b85618481e1a6418911994f595e27a424ea880de4fe2d7b855bc21738b5a1",
+     ["census", "--den-bound", "12", "--num-bound", "12", "--depths", "6", "--k", "3"]),
+    ("f47980688743f6b9e7495d430f081b5717653842dddc90267fa19c118c118c63",
+     ["census", "--den-bound", "30", "--num-bound", "40", "--depths", "6,10", "--parity", "even",
+      "--k", "2"]),
+    ("56c590fe848e4026b498957c0287b1044fe51be04271de317180e8e2510ae43c",
+     ["rewrite", "bsep", "0.2,1,3,1,2,3"]),
+    ("08da89cf40e0fa18add22dc25db8f388d9a1797db80f4d54ecbf0f9215e842af",
+     ["rewrite", "reduce", "0.3,1,2,3,3,2,3"]),
+    ("b21996faa344b0aece137ff6c59a77531b2f80ec9ddc02cf4523a475eee98f60",
+     ["rewrite", "add", "0.5,4,5", "0.5,5", "--k", "2"]),
+    ("e64459de7be899ef6390866d53e84f0ee0dc5a8d7aea049e4748fd50bb85dd32",
+     ["enumerate", "--k", "2", "--depth", "11", "2/5"]),
+    ("790a80e2b9f44c434a151a23f9ec242455baa1401bccece44ae7be99f6ab0754",
+     ["census", "--parity", "even", "--k", "2", "--depths", "6", "--num-bound", "3",
+      "--den-bound", "3"]),
+    ("3515b548744d0d9f2457832b4a2bb831b9e4addd4d593ac7ce5fadba51ab54ed",
+     ["rewrite", "cr", "0.2,3,3,1"]),
+    ("7f9568e0bdce8ce1d4f8e5ffe483a35b9e02260ba7340c8935771d514da155bb",
+     ["rewrite", "div", "0.2,1"]),
+    ("d7b8ad41bc810d29625a6abb56bdcf6f8cda0dac65d13d891f6fab5c3cf311d7",
+     ["rewrite", "mulbeta", "0.1,0,1"]),
+    ("b673fefc78ed6799960a330b8310709d252ead1c50eebaa231a2b308054f341a",
+     ["rewrite", "mulbeta", "0.1,1"]),
+    ("bca38062b37d9eca50a8b130d9f3c3b03fe0c07ed8e556a4c4dbe3dd9cc53043",
+     ["rewrite", "mulbeta", "0.1,1,2,1"]),
+    ("ae28b9cfa9da4796da206efa2593d9bfca3fdb9d2174b8239f4d7ab5e6a7aae0",
+     ["rewrite", "mulbeta", "0.1,1,2,0,1"]),
+    ("06761c69662690aba46ded8b201f067371fd73051929ba79d42bbd839337f1a5", ["classify", "0"]),
+    ("33614518130d3ae0ea078a4838e9be450661ab5079c777e1554c93ccfde59870",
+     ["rewrite", "div", "0.5,3,1", "--k", "2"]),
+    # domain errors: one error line, exit 3
+    *[((3, "error: x outside the expansion interval"), [cmd, "-1/2"])
+      for cmd in ("classify", "enumerate", "synth")],
+    *[((3, "error: the rewriting calculus applies to odd-parity systems"),
+       ["rewrite", *words, "--parity", "even"]) for words in (["cr", "0.1,2"], ["add", "0.1", "0.2"])],
+    ((3, "error: value too large: beta * x leaves the expansion interval"),
+     ["rewrite", "mulbeta", "0.3,3"]),
+    ((3, "error: division by k+1 expects integer part 0"), ["rewrite", "div", "1.2"]),
+    ((3, "error: multiplication by beta expects integer part 0"), ["rewrite", "mulbeta", "1.2"]),
+    ((3, "error: digit reduction is over its work budget of 2000000 digits rescanned"),
+     ["rewrite", "reduce", LONG_003]),
+    # usage errors reported by the top-level parser, exit 2
+    ((2, "goldenbeta: error: unrecognized arguments: --k 2"), ["verify", "--k", "2"]),
+    ((2, "goldenbeta: error: unrecognized arguments: --bogus"), ["census", "--bogus"]),
+]
+
+
+def failure(pin, code: int, out: bytes, err: str) -> str | None:
+    """Why one call's exit code, stdout and stderr miss ``pin``, or None."""
+    want, _ = pin
+    if isinstance(want, str):
+        got = hashlib.sha256(out).hexdigest()
+        return None if (code, got) == (0, want) else f"exit {code}, stdout sha256 {got}"
+    lines = err.splitlines()
+    one_line = code == 2 or len(lines) == 1  # a domain error is its error line alone
+    ok = (code, out, lines[-1:]) == (want[0], b"", [want[1]]) and one_line
+    return None if ok else f"exit {code}, {len(out)} bytes of stdout, stderr {err!r}"
+
+
+def label(argv: list[str]) -> str:
+    return " ".join(a if len(a) <= 40 else f"{a[:20]}...({len(a)} chars)" for a in argv)
+
+
+def main() -> int:
+    failed = 0
+    for pin in PINS:
+        proc = subprocess.run([sys.executable, "-m", "goldenbeta.cli", *pin[1]],
+                              capture_output=True, timeout=120)
+        why = failure(pin, proc.returncode, proc.stdout, proc.stderr.decode())
+        failed += why is not None
+        print(f"{'FAIL' if why else 'ok'}  {label(pin[1])}" + (f": {why}" if why else ""))
+    print(f"{len(PINS) - failed} of {len(PINS)} pins match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,6 +21,7 @@ import goldenbeta
 from goldenbeta.algebra import ODD, EVEN, DomainError, FieldElem, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
 from goldenbeta.cli import _json, census_elements, main
+from pins import PINS, failure, label
 
 P1 = make_params(1, ODD)
 
@@ -36,14 +37,18 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this package, run with ``args``."""
+    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 def run_process(*argv, flags=()):
     """The CLI in a fresh interpreter, so that uncaught exceptions reach
     stderr as tracebacks the way a user would see them."""
-    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *flags, "-m", "goldenbeta.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return run_python(*flags, "-m", "goldenbeta.cli", *argv)
 
 
 def test_classify_member(capsys):
@@ -386,14 +391,19 @@ _ARGVS = [
     ["enumerate", "-.5", "--depth", "-3"], ["classify", "--k", "-1", "1/2"],
     ["rewrite", "add", "--", "-1.0", "0.1"], ["classify", "--", "1/2", "--k"],
     ["--", "census"], ["--", "classify", "1/2"], ["--", "-1/2"], ["--"],
-    # help at both levels
+    # help at both levels, and every command's own help
     [], ["-h"], ["--help"], ["-h", "census"], ["census", "-h"], ["classify", "1/2", "--help"],
-    ["census", "--he"], ["rewrite", "-h", "carry"],
+    ["census", "--he"], ["rewrite", "-h", "carry"], ["classify", "-h"], ["enumerate", "-h"],
+    ["ones", "-h"], ["synth", "-h"], ["rewrite", "-h"], ["verify", "-h"],
     # missing and extra positionals, bad ints and bad choices
     ["classify"], ["classify", "1/2", "1/3"], ["rewrite", "carry"], ["ones", "1"],
     ["census", "--k", "x"], ["census", "--depths", "6,x"], ["census", "--format", "xml"],
     ["synth", "1/2", "--route", "walk"], ["rewrite", "nosuch", "0.1"], ["nosuch"],
     ["cen"], ["verify", "--level", "slow"], ["enumerate", "1/3", "--depth"],
+    # a bad option value in every command
+    ["classify", "1/2", "--parity", "odd2"], ["enumerate", "1/3", "--depth", "x"],
+    ["ones", "--depth", "1.5"], ["synth", "1/2", "--k", "x"],
+    ["rewrite", "carry", "0.3", "--parity", "none"], ["verify", "--seed", "x"],
     # unknown options at both levels
     ["--bogus"], ["--bogus", "census"], ["census", "--bogus"],
     ["census", "--bogus", "x", "-z"], ["classify", "1/2", "--bogus=3"], ["ones", "-x1"],
@@ -405,14 +415,14 @@ _ARGVS = [
 def test_main_parses_as_parse_args(argv):
     # main hands argv[0]'s parser the rest when argv[0] names a command;
     # the top-level parse_args it bypasses is the reference
-    top, _ = goldenbeta.cli._build_parser()
+    top = goldenbeta.cli._build_parser()
     assert _parse_outcome(_main_parse, argv) == _parse_outcome(top.parse_args, argv)
 
 
 @given(st.lists(st.sampled_from(sorted({t for argv in _ARGVS for t in argv})), max_size=7))
 @settings(max_examples=300, deadline=None)
 def test_main_parses_as_parse_args_on_drawn_argvs(argv):
-    top, _ = goldenbeta.cli._build_parser()
+    top = goldenbeta.cli._build_parser()
     assert _parse_outcome(_main_parse, argv) == _parse_outcome(top.parse_args, argv)
 
 
@@ -451,26 +461,56 @@ def test_verify_fast_optimized():
 
 def test_cli_import_loads_only_what_it_runs():
     # a fresh process importing the CLI loads neither dataclasses (nor its
-    # inspect) nor the modules of verify and of CSV output, which load
-    # when their commands run
+    # inspect) nor logging, nor the modules of verify and of CSV output,
+    # which load when their commands run; census and classify load none
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import goldenbeta.cli\n"
-        "cold = ('dataclasses', 'inspect', 'csv', 'goldenbeta.verify')\n"
+        "cold = ('dataclasses', 'inspect', 'logging', 'csv', 'goldenbeta.verify')\n"
         "print(sorted(set(cold) & (set(sys.modules) - before)))\n"
         "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [goldenbeta.cli.main(['census']), goldenbeta.cli.main(['classify', '1/3'])]\n"
+        "print(codes, sorted(set(cold) & (set(sys.modules) - before)))\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    codes = [goldenbeta.cli.main(['census', '--format', 'csv']),\n"
         "             goldenbeta.cli.main(['verify', '--level', 'fast'])]\n"
         "print(codes, out.getvalue().startswith('x,k,parity,verdict'), 'csv' in sys.modules,\n"
         "      'goldenbeta.verify' in sys.modules)\n")
-    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[0, 0] True True True\n"
+    assert proc.stdout == "[]\n[0, 0] []\n[0, 0] True True True\n"
+
+
+def test_cli_without_site_loads_no_threading():
+    # without site, nothing but the package could load threading or
+    # logging: the graph cache's lock comes from _thread
+    script = (
+        "import sys, contextlib, io\n"
+        "import goldenbeta.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [goldenbeta.cli.main(['census']), goldenbeta.cli.main(['classify', '1/3'])]\n"
+        "print(codes, 'threading' in sys.modules, 'logging' in sys.modules)\n")
+    proc = run_python("-S", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False False\n"
+
+
+def test_pins():
+    # every pinned output and error line of tests/pins.py, in process
+    failures = []
+    for pin in PINS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(pin[1]))
+            except SystemExit as exc:
+                code = exc.code
+        why = failure(pin, code, out.getvalue().encode(), err.getvalue())
+        if why:
+            failures.append(f"{label(pin[1])}: {why}")
+    assert failures == []
 
 
 def test_census_empty_window(capsys):

@@ -392,6 +392,23 @@ def test_reduce_postconditions():
             assert same_value(w, out, params)
 
 
+def test_reduce_work_budget(monkeypatch):
+    # 0,0,3 repeated to n digits costs about n**3/12 digits rescanned: under
+    # a budget of 10,000, n = 30 and 45 (2,506 and 8,158) reduce as before,
+    # and every rule that reduces refuses n = 60 and 90 (18,961 and 62,866)
+    series = {n: DigitWord(0, (0, 0, 3) * (n // 3)) for n in (30, 45, 60, 90)}
+    before = {n: reduce_digits(series[n], P1) for n in (30, 45)}
+    monkeypatch.setattr(rewrite, "REDUCE_BUDGET", 10_000)
+    for n, out in before.items():
+        assert reduce_digits(series[n], P1) == out
+    for n in (60, 90):
+        w = series[n]
+        for rule, words in (("reduce", [w]), ("add", [w, w]), ("mulbeta", [w])):
+            with pytest.raises(DomainError, match="^digit reduction is over its work budget "
+                                                  "of 10000 digits rescanned$"):
+                apply_rule(rule, P1, *words)
+
+
 # -- mul / add / div -------------------------------------------------------
 
 def test_mul_beta_examples():
