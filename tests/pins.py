@@ -1,4 +1,5 @@
-"""Pinned CLI outputs and error lines, written once for tier-1 and CI.
+"""Pinned CLI outputs and error lines: the one place a byte-identical
+claim about the CLI is written.
 
 Each pin is ``(want, argv)``.  A str ``want`` is the sha256 of what the
 call writes to stdout, and the call must exit 0.  A ``(code, line)`` want
@@ -6,20 +7,27 @@ is an error: the call exits ``code``, writes nothing to stdout, and its
 stderr ends in ``line``; a domain error (exit 3) writes that line alone,
 while a usage error (exit 2) writes argparse's usage first.
 
-``tests/test_cli.py`` runs every pin in process through ``cli.main``.
-Run as a script, from the root of a checkout,
+The tier-1 suite checks the table twice: ``tests/test_cli.py`` runs every
+pin in process through ``cli.main``, and calls ``main`` below, which starts
+each pin in a fresh interpreter, as a user would, under ``python -O``, so
+the pins also hold with ``assert`` statements stripped.  Run as a script,
 
-    PYTHONPATH=src python tests/pins.py
+    python tests/pins.py
 
-runs each pin in a fresh interpreter, as a user would, prints one line per
+does the same fresh-interpreter pass on this checkout, prints one line per
 pin and exits 1 when any pin fails.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+# the package of this checkout, whatever the caller's working directory
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # 0,0,3 repeated to 600 digits: digit reduction is over its work budget
 LONG_003 = "0." + ",".join(["0,0,3"] * 200)
@@ -87,6 +95,14 @@ PINS = [
     ("06761c69662690aba46ded8b201f067371fd73051929ba79d42bbd839337f1a5", ["classify", "0"]),
     ("33614518130d3ae0ea078a4838e9be450661ab5079c777e1554c93ccfde59870",
      ["rewrite", "div", "0.5,3,1", "--k", "2"]),
+    # a period of zeros spells a finite word, which mulbeta takes
+    ("60e04e0698fb459fb659814bd8bfadde04228e65fdf1138a3ecc5f1740e6062d",
+     ["rewrite", "mulbeta", "0.1,(0)*"]),
+    # the self-check reports: every check passes, with these bytes
+    ("75a8dbe9c907234eb7f6feec82e2dcc0f81de0928122b3bab910283bce7fd37b",
+     ["verify", "--level", "fast"]),
+    ("aa5fb361df77ce972164a79105135812155b447a461912d7fe6b74ef9279092a",
+     ["verify", "--level", "full"]),
     # domain errors: one error line, exit 3
     *[((3, "error: x outside the expansion interval"), [cmd, "-1/2"])
       for cmd in ("classify", "enumerate", "synth")],
@@ -120,11 +136,18 @@ def label(argv: list[str]) -> str:
     return " ".join(a if len(a) <= 40 else f"{a[:20]}...({len(a)} chars)" for a in argv)
 
 
+def run_python(*args, text=False):
+    """A fresh interpreter run with ``args``; ``SRC`` leads its PYTHONPATH,
+    so it imports the package of this checkout."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 def main() -> int:
     failed = 0
     for pin in PINS:
-        proc = subprocess.run([sys.executable, "-m", "goldenbeta.cli", *pin[1]],
-                              capture_output=True, timeout=120)
+        proc = run_python("-O", "-m", "goldenbeta.cli", *pin[1])
         why = failure(pin, proc.returncode, proc.stdout, proc.stderr.decode())
         failed += why is not None
         print(f"{'FAIL' if why else 'ok'}  {label(pin[1])}" + (f": {why}" if why else ""))

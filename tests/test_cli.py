@@ -2,15 +2,12 @@
 
 import io
 import json
-import os
-import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from functools import cmp_to_key
 from math import gcd
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,7 +18,8 @@ import goldenbeta
 from goldenbeta.algebra import ODD, EVEN, DomainError, FieldElem, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
 from goldenbeta.cli import _json, census_elements, main
-from pins import PINS, failure, label
+import pins
+from pins import PINS, failure, label, run_python
 
 P1 = make_params(1, ODD)
 
@@ -37,18 +35,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_python(*args):
-    """A fresh interpreter that imports this package, run with ``args``."""
-    src = str(Path(goldenbeta.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
-
-
-def run_process(*argv, flags=()):
+def run_process(*argv):
     """The CLI in a fresh interpreter, so that uncaught exceptions reach
     stderr as tracebacks the way a user would see them."""
-    return run_python(*flags, "-m", "goldenbeta.cli", *argv)
+    return run_python("-m", "goldenbeta.cli", *argv, text=True)
 
 
 def test_classify_member(capsys):
@@ -444,21 +434,6 @@ def test_verify_takes_no_system_options(argv, capsys):
     assert last == f"goldenbeta: error: unrecognized arguments: {' '.join(argv[1:])}"
 
 
-def test_verify_fast(capsys):
-    code, obj = run_json(capsys, "verify", "--level", "fast")
-    assert code == 0
-    assert obj["passed"] is True
-    assert {c["name"] for c in obj["checks"]} >= {"fn-identity", "value-preservation"}
-
-
-def test_verify_fast_optimized():
-    # the package's correctness checks are explicit raises, not asserts,
-    # so they still run when python -O strips assert statements
-    proc = run_process("verify", "--level", "fast", flags=("-O",))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["passed"] is True
-
-
 def test_cli_import_loads_only_what_it_runs():
     # a fresh process importing the CLI loads neither dataclasses (nor its
     # inspect) nor logging, nor the modules of verify and of CSV output,
@@ -478,7 +453,7 @@ def test_cli_import_loads_only_what_it_runs():
         "             goldenbeta.cli.main(['verify', '--level', 'fast'])]\n"
         "print(codes, out.getvalue().startswith('x,k,parity,verdict'), 'csv' in sys.modules,\n"
         "      'goldenbeta.verify' in sys.modules)\n")
-    proc = run_python("-c", script)
+    proc = run_python("-c", script, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[0, 0] []\n[0, 0] True True True\n"
 
@@ -492,25 +467,52 @@ def test_cli_without_site_loads_no_threading():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [goldenbeta.cli.main(['census']), goldenbeta.cli.main(['classify', '1/3'])]\n"
         "print(codes, 'threading' in sys.modules, 'logging' in sys.modules)\n")
-    proc = run_python("-S", "-c", script)
+    proc = run_python("-S", "-c", script, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False False\n"
+
+
+def run_pin(argv):
+    """Exit code, stdout bytes and stderr of ``main(argv)``, as a process
+    would give them, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue()
 
 
 def test_pins():
     # every pinned output and error line of tests/pins.py, in process
     failures = []
     for pin in PINS:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(list(pin[1]))
-            except SystemExit as exc:
-                code = exc.code
-        why = failure(pin, code, out.getvalue().encode(), err.getvalue())
+        why = failure(pin, *run_pin(pin[1]))
         if why:
             failures.append(f"{label(pin[1])}: {why}")
     assert failures == []
+
+
+def test_pins_in_fresh_optimized_processes(capsys):
+    # the same table, each pin in a fresh `python -O` interpreter
+    code = pins.main()
+    report = capsys.readouterr().out
+    assert code == 0, "\n".join(line for line in report.splitlines() if line.startswith("FAIL"))
+
+
+def test_pin_failure_reports_planted_faults():
+    # one output row and one error row, each matched and then missed
+    digest, argv = next(pin for pin in PINS if pin[1] == ["classify", "0"])
+    outcome = run_pin(argv)
+    assert failure((digest, argv), *outcome) is None
+    other = format((int(digest[-1], 16) + 1) % 16, "x")
+    assert failure((digest[:-1] + other, argv), *outcome)
+    (code, line), argv = next(pin for pin in PINS if pin[1] == ["classify", "-1/2"])
+    outcome = run_pin(argv)
+    assert failure(((code, line), argv), *outcome) is None
+    assert failure(((code + 1, line), argv), *outcome)
+    assert failure(((code, line + "."), argv), *outcome)
 
 
 def test_census_empty_window(capsys):
