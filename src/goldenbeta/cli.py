@@ -11,17 +11,19 @@ through one ``%d`` row template and writes a str or int leaf with the
 function json itself uses for it; other shapes take its general path.
 Census takes its window's points from ``algebra.census_elements``.
 
-argv is parsed once: when its first word names a command, ``main`` hands
-the rest to that command's own parser, which equals the full parser's
-subparser for it, and reports leftover words through the full parser, as
-``parse_args`` would; any other argv (empty, ``-h``, ``--``, an unknown
-word) goes to the full parser.  One table, ``_COMMANDS``, feeds both, so a
-command call builds its own parser and the full one only for that error.
+argv is parsed once.  A command call, written as the command, its exact
+flags as ``--flag value`` or ``--flag=value`` and its positionals in one
+run, is read off the table ``_COMMANDS`` into the namespace ``parse_args``
+would return, each value converted by its type and checked against its
+choices.  Any other argv (empty, help, ``--``, an abbreviation, an unknown
+option, a bad value or count) goes to the full argparse parser, built from
+the same table, so argparse writes every help, usage and error text.
 
-Start-up imports only what every command uses: ``verify`` and ``csv`` are
-imported by the commands that use them, ``--level`` offers
-``goldenbeta.LEVELS``, and the package imports neither ``logging`` nor
-``threading`` (``expand`` logs once the program has loaded ``logging``).
+Start-up imports only what every command uses: ``argparse`` is imported
+by the full parser, ``verify`` and ``csv`` by the commands that use them,
+``--level`` offers ``goldenbeta.LEVELS``, and the package imports neither
+``logging`` nor ``threading`` (``expand`` logs once the program has loaded
+``logging``).
 
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a library self-check such as ``apply_rule``'s, reported in one
@@ -31,13 +33,13 @@ written), 3 domain error.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import re
 import sys
 from functools import cache
 from itertools import chain
+from types import SimpleNamespace
 
 from .algebra import (
     EVEN,
@@ -173,23 +175,13 @@ def depth_list(text: str) -> list[int]:
     return depths
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads a negative fraction such as -1/2 as a
-    positional value, as argparse already reads -1, instead of as an
-    unknown option; its subcommand parsers are of the same class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-
-
 _OUT = ("--out", dict(metavar="PATH", default=None, help="write output to PATH"))
 _SYSTEM = (("--k", dict(type=int, default=1, help="digit parameter k >= 1")),
            ("--parity", dict(choices=(ODD, EVEN), default=ODD, help="odd: m=2k+1 digits, "
                              "quadratic base; even: m=2k, integer base")), _OUT)
 
 # Each command's help line and (flag or name, add_argument keywords) specs,
-# in the order its parser adds them; both builders below read this table.
+# in the order its parser adds them; _parse and _build_parser read this table.
 _COMMANDS = {
     "classify": ("countable/continuum verdict for a point", _SYSTEM + (
         ("x", dict(help="field literal, e.g. 3/4 or (1+1*b)/6")),)),
@@ -213,28 +205,100 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(p: _Parser, name: str) -> _Parser:
+# a negative fraction such as -1/2 is a value, as argparse already reads -1,
+# not an unknown option: the table parse and every parser built below agree
+_NEGATIVE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+def _is_word(arg: str) -> bool:
+    """Whether ``_parse`` reads ``arg`` as a value (a positional or an
+    option's value), as argparse does; argv with the other words argparse
+    reads as values, such as ``-`` and ``-1 /2``, is left to argparse."""
+    return arg[:1] != "-" or _NEGATIVE.match(arg) is not None
+
+
+@cache
+def _table(name: str) -> tuple[dict, list, dict]:
+    """One command's flags and positionals, each as (dest, type, choices,
+    nargs), and its defaults by dest in the order argparse sets them."""
+    flags, positionals, defaults = {}, [], {}
     for flag, kwargs in _COMMANDS[name][1]:
-        p.add_argument(flag, **kwargs)
-    return p
+        dest = flag.lstrip("-").replace("-", "_")
+        spec = (dest, kwargs.get("type"), kwargs.get("choices"), kwargs.get("nargs"))
+        if flag[0] == "-":
+            flags[flag] = spec
+        else:
+            positionals.append(spec)
+        defaults[dest] = kwargs.get("default")
+    return flags, positionals, defaults
 
 
-# parse_args leaves a parser unchanged, so in-process callers share the
-# parsers built below
+def _value(spec: tuple, text: str):
+    """``text`` converted by the spec's type and checked against its choices,
+    as argparse does; a bad choice raises ``ValueError``."""
+    _, type_, choices, _ = spec
+    value = text if type_ is None else type_(text)
+    if choices is not None and value not in choices:
+        raise ValueError(text)
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The items, in order, of ``_build_parser().parse_args(argv)``, read off
+    ``_COMMANDS`` when argv is a command, its exact flags as ``--flag value``
+    or ``--flag=value`` and its positionals in one run, each value valid;
+    None for every other argv, which argparse parses and reports."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags, positionals, defaults = _table(argv[0])
+    values, words, last, i = dict(defaults), [], 0, 1
+    try:
+        for dest, type_, _, _ in flags.values():  # argparse converts a str default by type
+            if type_ is not None and isinstance(values[dest], str):
+                values[dest] = type_(values[dest])
+        while i < len(argv):
+            arg = argv[i]
+            if _is_word(arg):
+                if words and last != i - 1:  # argparse reads no second run
+                    return None
+                words.append(arg)
+                last = i
+            else:
+                flag, eq, text = arg.partition("=")
+                if flag not in flags:
+                    return None
+                if not eq:
+                    i += 1
+                    if i == len(argv) or not _is_word(argv[i]):
+                        return None
+                    text = argv[i]
+                values[flags[flag][0]] = _value(flags[flag], text)
+            i += 1
+        n = len(positionals)
+        if len(words) != n and not (len(words) > n > 0 and positionals[-1][3] == "+"):
+            return None
+        for j, spec in enumerate(positionals):
+            values[spec[0]] = ([_value(spec, w) for w in words[j:]] if spec[3] == "+"
+                               else _value(spec, words[j]))
+    except (TypeError, ValueError):  # a failed conversion or a bad choice, as argparse catches
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 @cache
-def _command_parser(name: str) -> _Parser:
-    """The parser of one command, the same as the full parser's subparser."""
-    return _add_arguments(_Parser(prog=f"goldenbeta {name}"), name)
-
-
-@cache
-def _build_parser() -> _Parser:
+def _build_parser():
     """The full parser, with every command as a subparser."""
-    top = _Parser(prog="goldenbeta",
-                  description="Exact expansion analysis in generalized golden ratio bases.")
+    import argparse  # only what _parse leaves builds a parser
+
+    top = argparse.ArgumentParser(
+        prog="goldenbeta", description="Exact expansion analysis in generalized golden ratio bases.")
+    top._negative_number_matcher = _NEGATIVE
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p._negative_number_matcher = _NEGATIVE
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -280,14 +344,8 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        # what the full parser's parse_args does with this argv, without
-        # building the other commands' parsers
-        args, extras = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            _build_parser().error("unrecognized arguments: %s" % " ".join(extras))
-    else:
+    args = _parse(argv)
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return _run(args)

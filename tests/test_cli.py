@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import sys
@@ -325,8 +326,8 @@ def test_synth_refuses_endpoints(argv, endpoint, capsys):
 
 
 def test_parser_reuse_matches_fresh_process(capsys):
-    # one process reuses its parser across calls; each output must equal the
-    # same call in a fresh interpreter, byte for byte
+    # one process makes several calls; each output must equal the same call
+    # in a fresh interpreter, byte for byte
     calls = [["census"], ["census", "--depths", "6,12", "--format", "csv"],
              ["enumerate", "1", "--depth", "2"], ["classify", "1"], ["census"]]
     for argv in calls:
@@ -398,6 +399,13 @@ _ARGVS = [
     ["--bogus"], ["--bogus", "census"], ["census", "--bogus"],
     ["census", "--bogus", "x", "-z"], ["classify", "1/2", "--bogus=3"], ["ones", "-x1"],
     ["census", "--", "--bogus"], ["verify", "--k", "2"],
+    # forms a table parse could misread: positionals split by an option (argparse
+    # refuses the second run unless it starts a later positional), an option
+    # missing its value, a lone dash, negative values, an empty explicit value,
+    # and a negative literal with a space, which argparse reads as a positional
+    ["rewrite", "add", "0.1", "--k", "2", "0.2"], ["rewrite", "add", "--k", "2", "0.1", "0.2"],
+    ["classify", "1/3", "--out"], ["classify", "-"], ["census", "--depths", "-1"],
+    ["census", "--k="], ["enumerate", "1/3", "--depth=-2"], ["classify", "-1 /2"],
 ]
 
 
@@ -409,7 +417,53 @@ def test_main_parses_as_parse_args(argv):
     assert _parse_outcome(_main_parse, argv) == _parse_outcome(top.parse_args, argv)
 
 
-@given(st.lists(st.sampled_from(sorted({t for argv in _ARGVS for t in argv})), max_size=7))
+# values for each flag, plain ones and then rarer ones, drawn one time in
+# eight: bad ints and choices, negative and empty values, a lone dash and an
+# option where a value should be
+_FLAG_VALUES = {
+    "--k": (["1", "2"], ["-1", "x"]), "--parity": (["odd", "even"], ["none"]),
+    "--out": (["x.json"], ["-", "--k"]), "--depth": (["0", "5"], ["-2", "1.5"]),
+    "--route": (["search", "construct"], ["walk"]), "--den-bound": (["2", "4"], ["-1"]),
+    "--num-bound": (["0", "3"], ["x"]), "--depths": (["6", "6,12"], ["-1", "6,x", ""]),
+    "--format": (["json", "csv"], ["xml"]), "--level": (["fast", "full"], ["slow"]),
+    "--seed": (["0", "3"], ["x"]),
+}
+# positionals, negative literals among them, and the rule rewrite reads first
+_POSITIONALS = st.sampled_from(["1/2", "(1+1*b)/6", "-1/2", "-.5", "0.1", "0.2,1", "-1 /2"])
+_RULES = st.sampled_from(sorted(goldenbeta.rewrite.RULES) + ["nosuch"])
+
+
+@st.composite
+def command_argvs(draw):
+    """A command, its exact flags in both spellings, and its positionals:
+    mostly in one run of the right length, sometimes one word more or
+    fewer, or split by a flag."""
+    name = draw(st.sampled_from(sorted(goldenbeta.cli._COMMANDS)))
+    specs = goldenbeta.cli._COMMANDS[name][1]
+    flags = [flag for flag, _ in specs if flag[0] == "-"]
+    names = [flag for flag, _ in specs if flag[0] != "-"]
+
+    def options():
+        argv = []
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=2)):
+            plain, rare = _FLAG_VALUES[flag]
+            value = draw(st.sampled_from(draw(st.sampled_from([plain] * 7 + [rare]))))
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+        return argv
+
+    count = len(names)
+    if names:  # mostly the right count; rewrite's words are one or more
+        count += draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+        count += names[-1] == "words" and draw(st.integers(0, 1))
+    run = [draw(_RULES if j == 0 and name == "rewrite" else _POSITIONALS)
+           for j in range(max(count, 0))]
+    if run and draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(run)))
+        run[cut:cut] = options()
+    return [name, *options(), *run, *options()]
+
+
+@given(command_argvs())
 @settings(max_examples=300, deadline=None)
 def test_main_parses_as_parse_args_on_drawn_argvs(argv):
     top = goldenbeta.cli._build_parser()
@@ -436,13 +490,15 @@ def test_verify_takes_no_system_options(argv, capsys):
 
 def test_cli_import_loads_only_what_it_runs():
     # a fresh process importing the CLI loads neither dataclasses (nor its
-    # inspect) nor logging, nor the modules of verify and of CSV output,
-    # which load when their commands run; census and classify load none
+    # inspect) nor logging, nor argparse (nor the shutil its help formatter
+    # imports), nor the modules of verify and of CSV output, which load when
+    # their commands run; census and classify load none
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import goldenbeta.cli\n"
-        "cold = ('dataclasses', 'inspect', 'logging', 'csv', 'goldenbeta.verify')\n"
+        "cold = ('dataclasses', 'inspect', 'logging', 'argparse', 'shutil', 'csv',\n"
+        "        'goldenbeta.verify')\n"
         "print(sorted(set(cold) & (set(sys.modules) - before)))\n"
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
@@ -459,17 +515,19 @@ def test_cli_import_loads_only_what_it_runs():
 
 
 def test_cli_without_site_loads_no_threading():
-    # without site, nothing but the package could load threading or
-    # logging: the graph cache's lock comes from _thread
+    # without site, nothing but the package could load threading, logging,
+    # argparse or shutil: the graph cache's lock comes from _thread, and a
+    # command's argv is read off the CLI's table
     script = (
         "import sys, contextlib, io\n"
         "import goldenbeta.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [goldenbeta.cli.main(['census']), goldenbeta.cli.main(['classify', '1/3'])]\n"
-        "print(codes, 'threading' in sys.modules, 'logging' in sys.modules)\n")
+        "print(codes, [name in sys.modules for name in ('threading', 'logging', 'argparse',\n"
+        "                                               'shutil')])\n")
     proc = run_python("-S", "-c", script, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] False False\n"
+    assert proc.stdout == "[0, 0] [False, False, False, False]\n"
 
 
 def run_pin(argv):
@@ -513,6 +571,20 @@ def test_pin_failure_reports_planted_faults():
     assert failure(((code, line), argv), *outcome) is None
     assert failure(((code + 1, line), argv), *outcome)
     assert failure(((code, line + "."), argv), *outcome)
+
+
+def test_exit_0_pins_parse_without_argparse():
+    # main reads every exit-0 pin's argv off _COMMANDS: with argparse unable
+    # to parse, each still matches; a usage error matches once it can again
+    def refuse(*args, **kwargs):
+        raise RuntimeError(f"argparse parsed {args[1:]!r}")
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", refuse):
+        whys = {label(pin[1]): failure(pin, *run_pin(pin[1]))
+                for pin in PINS if isinstance(pin[0], str)}
+    assert {argv: why for argv, why in whys.items() if why} == {}
+    usage = next(pin for pin in PINS if pin[0][:1] == (2,))
+    assert failure(usage, *run_pin(usage[1])) is None
 
 
 def test_census_empty_window(capsys):
