@@ -6,9 +6,11 @@ grammar ``INT.d1,d2,...`` with an optional ``(p1,p2)*`` periodic tail.
 Output is JSON (CSV for census on request), written to stdout or --out,
 and is byte-deterministic for fixed flags and seed: the JSON is exactly
 what the standard ``json`` module writes with ``indent=2``, followed by a
-newline.  The writer formats a prefix listing (int rows of one length)
-through one ``%d`` row template and writes a str or int leaf with the
-function json itself uses for it; other shapes take its general path.
+newline.  ``enumerate`` marks its prefix listing by type, and the writer
+writes it in blocks of rows, each block's digits translated as bytes (or
+through one ``%d`` row template when a digit can take two characters); it
+writes a str or int leaf with the function json itself uses for it, and
+every other shape by its general path.
 Census takes its window's points from ``algebra.census_elements``.
 
 argv is parsed once.  A command call, written as the command, its exact
@@ -38,7 +40,6 @@ import json
 import re
 import sys
 from functools import cache
-from itertools import chain
 from types import SimpleNamespace
 
 from .algebra import (
@@ -78,24 +79,74 @@ _encode = json.JSONEncoder().encode  # C-accelerated when it has no indent
 _encode_str = json.encoder.encode_basestring_ascii  # what json writes for a str
 
 
+class _Listing(list):
+    """A prefix listing as ``_walk`` lists it: rows of one length, each a
+    tuple of digits 0..m, where ``m`` is the system's largest digit."""
+
+    __slots__ = ("m",)
+
+
+# Rows of a listing that ``_json_listing`` translates at once: it holds a few
+# copies of one block's text beside the output.
+LISTING_BLOCK = 4096
+# Byte d of a row as the numeral d for d <= 9, and every other byte, the row
+# mark 0xff among them, as "|".
+_DIGITS = b"0123456789" + b"|" * 246
+
+
+def _json_listing(rows: _Listing, ind: str) -> str:
+    """What ``json`` writes for ``rows``, a listing of nonempty rows.  With
+    m <= 9 each block of ``LISTING_BLOCK`` rows is joined as bytes around a
+    row mark, translated to numerals and "|" (``0121|2101``), spread by the
+    digit separator and cut into rows at each mark.  A block holding a row
+    longer or shorter than the first, or a digit outside 0..9, raises
+    ``AssertionError``: each block's text must have its length and a mark
+    at every row end and nowhere else.  With m >= 10 one ``%d`` row
+    template is mapped over the rows."""
+    inner = ind + "  "
+    row = inner + "  "
+    d = len(rows[0])
+    if rows.m > 9:
+        tmpl = "[" + row + ("," + row).join(["%d"] * d) + inner + "]"
+        return "[" + inner + ("," + inner).join(map(tmpl.__mod__, rows)) + ind + "]"
+    sep, cut = "," + row, inner + "]," + inner + "[" + row
+    blocks = []
+    for i in range(0, len(rows), LISTING_BLOCK):
+        block = rows[i:i + LISTING_BLOCK]
+        try:
+            raw = b"\xff".join(map(bytes, block))
+        except ValueError:  # bytes() refuses a digit outside 0..255
+            raw = b""  # which the check refuses, as d >= 1
+        text = raw.translate(_DIGITS).decode("ascii")
+        marks = len(block) - 1
+        if len(text) != marks + len(block) * d or not (
+                text.count("|") == text[d::d + 1].count("|") == marks):
+            raise AssertionError(f"prefix listing rows {i}..{i + marks} are not "
+                                 f"rows of {d} digits 0..9")
+        blocks.append(sep.join(text).replace(sep + "|" + sep, cut))
+    blocks[0] = "[" + inner + "[" + row + blocks[0]
+    blocks[-1] += inner + "]" + ind + "]"
+    return cut.join(blocks)
+
+
 def _json(obj, ind: str = "\n") -> str:
     """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
     trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
     newline and indent of the line that holds ``obj``.  json's own encoder
     drops to pure Python whenever an indent is set, so here a leaf of type
     exactly ``str`` or ``int`` is written as json writes it, by
-    ``encode_basestring_ascii`` or ``int.__repr__``, and a list of int rows
-    of one nonzero length (a prefix listing, census's depth/count pairs)
-    maps one ``%d`` row template over its rows, in C.  Types are tested
-    exactly: a bool, IntEnum member, float or str subclass takes json's
-    encoder, and a listing holding one, ragged or empty rows, dicts and
-    every other list take the general, recursive path.  A dict key is
-    written as a str; any other key raises ``TypeError``."""
+    ``encode_basestring_ascii`` or ``int.__repr__``, and a ``_Listing`` of
+    nonempty rows by ``_json_listing``.  Types are tested exactly: a bool,
+    IntEnum member, float or str subclass takes json's encoder, and dicts
+    and every other list or tuple take the general, recursive path.  A dict
+    key is written as a str; any other key raises ``TypeError``."""
     cls = type(obj)
     if cls is str:
         return _encode_str(obj)
     if cls is int:
         return int.__repr__(obj)
+    if cls is _Listing and obj and obj[0]:
+        return _json_listing(obj, ind)
     inner = ind + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -105,13 +156,7 @@ def _json(obj, ind: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if (set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {len(obj[0])}
-                and set(map(type, chain.from_iterable(obj))) == {int}):  # empty rows give set()
-            row = inner + "  "
-            tmpl = "[" + row + ("," + row).join(["%d"] * len(obj[0])) + inner + "]"
-            items = map(tmpl.__mod__, map(tuple, obj))
-        else:
-            items = (_json(v, inner) for v in obj)
+        items = (_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return _encode(obj)
 
@@ -318,7 +363,8 @@ def _run(args) -> int:
         c = expand.classify(x, params)
         result, cert = c.verdict, _certificate_json(c)
     elif command == "enumerate":
-        prefixes = expand.enumerate_prefixes(x, args.depth, params).prefixes_at()
+        prefixes = _Listing(expand.enumerate_prefixes(x, args.depth, params).prefixes_at())
+        prefixes.m = params.m
         result = {"depth": args.depth, "count": len(prefixes), "prefixes": prefixes}
     elif command == "ones":
         given = "1"

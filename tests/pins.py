@@ -57,6 +57,16 @@ PINS = [
      ["enumerate", "1/3", "--depth", "13"]),
     ("e64459de7be899ef6390866d53e84f0ee0dc5a8d7aea049e4748fd50bb85dd32",
      ["enumerate", "2/5", "--depth", "11", "--k", "2"]),
+    # the listing writer's edge shapes: rows past one block, two-digit
+    # digits (m = 13), one-digit rows and the one empty row of depth 0
+    ("eaa2591c3da35607367fd55788b87696d38d9ca98ed9c881d50a8505d9a9f596",
+     ["enumerate", "1/3", "--depth", "24"]),
+    ("8445cbb7d12ec63f7dd9e740739e089279cbacaa83e557cb6b79014d3121c4d3",
+     ["enumerate", "1/3", "--depth", "10", "--k", "6"]),
+    ("d12ef85a957140e430e22d5ce646e63be2b9ab98ea37a2f19d2bc5529e11dbb3",
+     ["enumerate", "1/3", "--depth", "1"]),
+    ("0bb6c22e4a1a07db67042b84fa0373c95e151394038f7294233349d8db4bb43c",
+     ["enumerate", "1/3", "--depth", "0"]),
     ("fbd091b04803a3563f34fc2ea16162546b26ffe473e5b38a0faaa657f1be7e8b",
      ["census", "--den-bound", "4", "--num-bound", "4", "--depths", "6,12", "--format", "csv"]),
     ("790a80e2b9f44c434a151a23f9ec242455baa1401bccece44ae7be99f6ab0754",

@@ -721,10 +721,11 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, indent=2)
 
 
-# prefix listings, the shape the writer formats through one row template:
-# int rows of one length, as lists or tuples, with ints past 64 bits and
-# negative ones; a spoiled listing has one row holding a bool, an IntEnum
-# member or a float, or one digit more or fewer than the others
+# lists of int rows of one length, as lists or tuples, with ints past 64
+# bits and negative ones: the shape of a prefix listing, which the writer
+# takes by its general path unless ``enumerate`` marks it as a ``_Listing``;
+# a spoiled listing has one row holding a bool, an IntEnum member or a
+# float, or one digit more or fewer than the others
 listing_ints = st.one_of(st.integers(), st.integers(-2 ** 100, 2 ** 100))
 
 
@@ -758,6 +759,59 @@ def test_json_writer_listing_edge_cases():
                 [S("y\u00e9"), Digit.BIG, 2 ** 70]):
         assert _json(obj) == json.dumps(obj, indent=2)
     assert _json([[True]]) == "[\n  [\n    true\n  ]\n]"
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_listing_writer_matches_json_dumps_on_walks(k, parity, monkeypatch):
+    # real walk listings at the enumerate nesting, digits 0..m for m = 2..13,
+    # so both the byte path (m <= 9) and the row template (m >= 10) run, with
+    # blocks of 1 to 3 rows so that block ends fall inside short listings
+    params = make_params(k, parity)
+    for text in ("1/3", "1/2", "2/5"):
+        tree = goldenbeta.expand.enumerate_prefixes(parse_field(text, params), 14, params)
+        for depth in range(15):
+            if tree.count_at(depth) > 300:
+                break
+            monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 1 + depth % 3)
+            rows = goldenbeta.cli._Listing(tree.prefixes_at(depth))
+            rows.m = params.m
+            obj = {"result": {"depth": depth, "prefixes": rows}}
+            assert _json(obj) == json.dumps(obj, indent=2)
+
+
+PLANTED_ROWS = [
+    [(0, 1, 2), (0, 10, 1)],  # a digit past 9, which translates to the row mark
+    [(0, 1, 2), (0, 255, 1)],  # the row mark's own byte
+    [(0, 1, 2), (0, 300, 1)],  # a digit bytes() refuses
+    [(0, 1, 2), (0, -1, 1)],
+    [(0, 1, 2), (0, 1), (0, 1, 2, 1)],  # ragged rows of the right total length
+    [(0, 1, 2), (0, 1, 2, 1)],
+]
+
+
+@pytest.mark.parametrize("rows", PLANTED_ROWS, ids=repr)
+def test_listing_writer_refuses_planted_rows(rows, monkeypatch, capsys):
+    # the byte path checks each block's length and row marks, so a row it
+    # cannot write exits 1 with one error line instead of printing wrong digits
+    monkeypatch.setattr(goldenbeta.expand.PrefixTree, "prefixes_at", lambda self: rows)
+    for block in (1, 2, 4096):
+        monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", block)
+        assert main(["enumerate", "1/3", "--depth", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: prefix listing rows ")
+
+
+def test_listing_writer_refuses_planted_rows_under_O():
+    # the check is an explicit raise, not an assert statement
+    code = ("import sys; from goldenbeta import cli, expand; "
+            "expand.PrefixTree.prefixes_at = lambda self: [(0, 1), (0, 12)]; "
+            "sys.exit(cli.main(['enumerate', '1/3', '--depth', '2']))")
+    proc = run_python("-O", "-c", code, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: prefix listing rows 0..1 are not rows of 2 digits 0..9\n"
 
 
 def test_json_writer_keys():
