@@ -22,12 +22,16 @@ ODD = "odd"
 EVEN = "even"
 
 
-class ParameterError(ValueError):
+class DomainError(ValueError):
+    """Input outside the domain of an operation."""
+
+
+class ParameterError(DomainError):
     """Invalid system parameters (k, parity)."""
 
 
-class DomainError(ValueError):
-    """Input outside the domain of an operation."""
+class ParseError(DomainError):
+    """Malformed field or word literal."""
 
 
 class _Record:
@@ -217,8 +221,6 @@ class FieldElem(_Record):
         return FieldElem(self.params, -self.p, -self.q, self.r)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.params.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -369,11 +371,11 @@ def parse_field(text: str, params: Params) -> FieldElem:
     text = text.strip()
     m = _RAT_RE.match(text) or _SURD_RE.match(text)
     if not m:
-        raise DomainError(f"malformed field literal: {text!r}")
+        raise ParseError(f"malformed field literal: {text!r}")
     try:
         ints = [int(g or 1) for g in m.groups()]
     except ValueError:  # past the interpreter's limit on digits per int
-        raise DomainError("a number in the field literal has too many digits") from None
+        raise ParseError("a number in the field literal has too many digits") from None
     if m.re is _RAT_RE:
         num, den = ints
         return FieldElem(params, 0, num, den)

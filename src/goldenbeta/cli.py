@@ -6,20 +6,7 @@ grammar ``INT.d1,d2,...`` with an optional ``(p1,p2)*`` periodic tail.
 Output is JSON (CSV for census on request), written to stdout or --out,
 and is byte-deterministic for fixed flags and seed: the JSON is exactly
 what the standard ``json`` module writes with ``indent=2``, followed by a
-newline.  ``enumerate`` marks its prefix listing by type, and the writer
-writes it in blocks of rows, each block's digits translated as bytes (or
-through one ``%d`` row template when a digit can take two characters); it
-writes a str or int leaf with the function json itself uses for it, and
-every other shape by its general path.
-Census takes its window's points from ``algebra.census_elements``.
-
-argv is parsed once.  A command call, written as the command, its exact
-flags as ``--flag value`` or ``--flag=value`` and its positionals in one
-run, is read off the table ``_COMMANDS`` into the namespace ``parse_args``
-would return, each value converted by its type and checked against its
-choices.  Any other argv (empty, help, ``--``, an abbreviation, an unknown
-option, a bad value or count) goes to the full argparse parser, built from
-the same table, so argparse writes every help, usage and error text.
+newline.  argparse writes every help, usage and usage-error text.
 
 Start-up imports only what every command uses: ``argparse`` is imported
 by the full parser, ``verify`` and ``csv`` by the commands that use them,
@@ -30,7 +17,8 @@ by the full parser, ``verify`` and ``csv`` by the commands that use them,
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a library self-check such as ``apply_rule``'s, reported in one
 ``error:`` line), 2 usage error (including an --out path that cannot be
-written), 3 domain error.
+written), 3 domain error: a ``DomainError``, such as a point outside the
+expansion interval, a malformed literal or a bad k, in one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -47,14 +35,13 @@ from .algebra import (
     ODD,
     DomainError,
     FieldElem,
-    ParameterError,
     Params,
     census_elements,
     format_field,
     make_params,
     parse_field,
 )
-from .words import ParseError, format_word, parse_word
+from .words import format_word, parse_word
 from . import LEVELS, expand, rewrite
 
 
@@ -133,18 +120,21 @@ def _json(obj, ind: str = "\n") -> str:
     """What ``json`` writes for ``obj`` with ``indent=2``, byte for byte, for
     trees of str-keyed dicts, lists, tuples and scalars; ``ind`` is the
     newline and indent of the line that holds ``obj``.  json's own encoder
-    drops to pure Python whenever an indent is set, so here a leaf of type
-    exactly ``str`` or ``int`` is written as json writes it, by
-    ``encode_basestring_ascii`` or ``int.__repr__``, and a ``_Listing`` of
-    nonempty rows by ``_json_listing``.  Types are tested exactly: a bool,
-    IntEnum member, float or str subclass takes json's encoder, and dicts
-    and every other list or tuple take the general, recursive path.  A dict
-    key is written as a str; any other key raises ``TypeError``."""
+    drops to pure Python whenever an indent is set, so here ``None`` and a
+    leaf of type exactly ``str`` or ``int`` are written as json writes them,
+    as ``null``, by ``encode_basestring_ascii`` or by ``int.__repr__``, and
+    a ``_Listing`` of nonempty rows by ``_json_listing``.  Types are tested
+    exactly: a bool, IntEnum member, float or str subclass takes json's
+    encoder, and dicts and every other list or tuple take the general,
+    recursive path.  A dict key is written as a str; any other key raises
+    ``TypeError``."""
     cls = type(obj)
     if cls is str:
         return _encode_str(obj)
     if cls is int:
         return int.__repr__(obj)
+    if obj is None:
+        return "null"
     if cls is _Listing and obj and obj[0]:
         return _json_listing(obj, ind)
     inner = ind + "  "
@@ -227,6 +217,7 @@ _SYSTEM = (("--k", dict(type=int, default=1, help="digit parameter k >= 1")),
 
 # Each command's help line and (flag or name, add_argument keywords) specs,
 # in the order its parser adds them; _parse and _build_parser read this table.
+# A default is the value its flag parses to, which both parsers take as given.
 _COMMANDS = {
     "classify": ("countable/continuum verdict for a point", _SYSTEM + (
         ("x", dict(help="field literal, e.g. 3/4 or (1+1*b)/6")),)),
@@ -242,7 +233,7 @@ _COMMANDS = {
                        help="word literal(s), e.g. 0.3,2 or 0.3,(0,3)*")))),
     "census": ("classification sweep over a window of points", _SYSTEM + (
         ("--den-bound", dict(type=int, default=4)), ("--num-bound", dict(type=int, default=4)),
-        ("--depths", dict(type=depth_list, default="6", help="comma-separated depths, e.g. 6,12")),
+        ("--depths", dict(type=depth_list, default=[6], help="comma-separated depths, e.g. 6,12")),
         ("--format", dict(choices=("json", "csv"), default="json")))),
     "verify": ("run the self-check suite", (
         _OUT, ("--level", dict(choices=LEVELS, default="fast")),
@@ -298,9 +289,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     flags, positionals, defaults = _table(argv[0])
     values, words, last, i = dict(defaults), [], 0, 1
     try:
-        for dest, type_, _, _ in flags.values():  # argparse converts a str default by type
-            if type_ is not None and isinstance(values[dest], str):
-                values[dest] = type_(values[dest])
         while i < len(argv):
             arg = argv[i]
             if _is_word(arg):
@@ -395,7 +383,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (DomainError, ParameterError, ParseError) as exc:
+    except DomainError as exc:  # ParseError and ParameterError among them
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AssertionError as exc:  # a self-check in the library failed

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import FieldElem, Params, _Record, times_beta
+from .algebra import FieldElem, ParseError, Params, _Record, times_beta
 
 IND_INF = None  # ind's answer when the alternation never breaks
-
-
-class ParseError(ValueError):
-    """Malformed word literal."""
 
 
 class DigitWord(_Record):

@@ -108,6 +108,9 @@ PINS = [
     # a period of zeros spells a finite word, which mulbeta takes
     ("60e04e0698fb459fb659814bd8bfadde04228e65fdf1138a3ecc5f1740e6062d",
      ["rewrite", "mulbeta", "0.1,(0)*"]),
+    # census at its default --depths
+    ("73ae5d0f42e6ec0bfb50586f835ca206225293c7b821053ef1fefebb4c0c1c34",
+     ["census", "--den-bound", "2", "--num-bound", "2"]),
     # the self-check reports: every check passes, with these bytes
     ("75a8dbe9c907234eb7f6feec82e2dcc0f81de0928122b3bab910283bce7fd37b",
      ["verify", "--level", "fast"]),
@@ -122,6 +125,10 @@ PINS = [
      ["rewrite", "mulbeta", "0.3,3"]),
     ((3, "error: division by k+1 expects integer part 0"), ["rewrite", "div", "1.2"]),
     ((3, "error: multiplication by beta expects integer part 0"), ["rewrite", "mulbeta", "1.2"]),
+    # a malformed literal and a bad parameter are domain errors too
+    ((3, "error: digit 9 out of range 0..3 in '0.9'"), ["rewrite", "carry", "0.9"]),
+    ((3, "error: k must be a positive integer, got 0"), ["classify", "1/3", "--k", "0"]),
+    ((3, "error: malformed field literal: '0.5'"), ["classify", "0.5"]),
     ((3, "error: digit reduction is over its work budget of 2000000 digits rescanned"),
      ["rewrite", "reduce", LONG_003]),
     # usage errors reported by the top-level parser, exit 2

@@ -14,6 +14,7 @@ from goldenbeta.algebra import (
     FieldElem,
     ParameterError,
     Params,
+    ParseError,
     fe_membership,
     floor_pq,
     format_field,
@@ -149,6 +150,11 @@ def test_division_and_inverse():
         P1.zero.inverse()
 
 
+def test_zero_denominator_refused():
+    with pytest.raises(ZeroDivisionError, match="FieldElem denominator is zero"):
+        FieldElem(P1, 1, 2, 0)
+
+
 def test_mul_div_beta_roundtrip():
     for params in (P1, P2, E1):
         x = FieldElem(params, 0, 5, 7) if params.parity == EVEN else FieldElem(params, 3, -1, 5)
@@ -243,10 +249,13 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects():
-    with pytest.raises(DomainError):
+    # a malformed literal is a ParseError, as a malformed word literal is
+    with pytest.raises(ParseError, match="malformed field literal: 'beta/2'"):
         parse_field("beta/2", P1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParseError, match=r"malformed field literal: '\(1\+b\)/2'"):
         parse_field("(1+b)/2", P1)
+    with pytest.raises(ParseError, match="a number in the field literal has too many digits"):
+        parse_field("1/" + "7" * 5000, P1)
 
 
 def test_sign_cases():

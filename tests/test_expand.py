@@ -169,6 +169,15 @@ def test_synth_refuses_nonmember():
         synth_finite(parse_field("1/3", P1), P1)
 
 
+def test_synth_refuses_an_exhausted_orbit(monkeypatch):
+    # every remainder graph reaches 0 from a member; with a planted step
+    # that admits no digit, the search runs out of states
+    monkeypatch.setattr(expand, "_CACHE", expand._Cache())
+    monkeypatch.setattr(expand, "_step", lambda p, q, r, params: {})
+    with pytest.raises(DomainError, match="remainder orbit exhausted without reaching 0"):
+        synth_finite(P1.from_rational(1, 2), P1)
+
+
 @pytest.mark.parametrize("k, numerator", [(1, "1"), (2, "(1+1*b)")])
 def test_synth_denominator_budget(k, numerator):
     # the largest power of k+1 the budget admits still gets a certificate
@@ -372,6 +381,12 @@ def test_classify_certificate_roundtrip():
         assert (val(c.certificate) - x).is_zero()
 
 
+def test_offending_prime_refuses_a_member_denominator():
+    # classify asks only for a non-member's prime; 8 has none outside 2
+    with pytest.raises(AssertionError, match="denominator 8 has no prime outside 2"):
+        expand._offending_prime(8, 2)
+
+
 # -- branch witnesses -------------------------------------------------------
 
 def test_local_rewrite_instance():
@@ -412,6 +427,14 @@ def test_branch_witness_refuses_member():
             branch_witness(x, depth, budget, P1)
     with pytest.raises(DomainError):
         branch_witness(parse_field("9/5", P1), 12, 8, P1)  # above m/(beta-1)
+
+
+def test_branch_witness_refuses_an_unreached_target(monkeypatch):
+    # a non-member's tree doubles, so some depth up to 40 times the asked
+    # one lists the target; a planted walk that lists nothing never does
+    monkeypatch.setattr(expand, "_walk", lambda g, root, depth, limit: [])
+    with pytest.raises(DomainError, match="prefix tree never reached the witness target"):
+        branch_witness(P1.from_rational(1, 3), 3, 2, P1)
 
 
 def test_branch_witness_listing_budget(monkeypatch):

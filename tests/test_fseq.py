@@ -2,6 +2,7 @@
 
 import pytest
 
+from goldenbeta import fseq
 from goldenbeta.algebra import EVEN, ODD, ParameterError, make_params
 from goldenbeta.fseq import FDecomposition, decompose_F, f_seq, fn_identity_check
 
@@ -27,6 +28,14 @@ def test_decompose_negative():
     dec = decompose_F(1, -5)
     assert dec.coeffs == (-1, -2)
     assert dec.reconstruct(1) == -5
+
+
+def test_decompose_refuses_an_out_of_range_coefficient(monkeypatch):
+    # the recurrence keeps each greedy coefficient in 0..k+1; a planted
+    # sequence that jumps from F_1 = 1 to 100 leaves 50 to F_1 alone
+    monkeypatch.setattr(fseq, "f_seq", lambda k, up_to: [1, 100])
+    with pytest.raises(AssertionError, match="greedy coefficient 50 of F_1 out of range"):
+        decompose_F(1, 50)
 
 
 def test_decompose_exhaustive():

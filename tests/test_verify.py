@@ -5,12 +5,14 @@ reports are pinned in ``tests/pins.py``."""
 import json
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from goldenbeta import expand, rewrite, verify
 from goldenbeta.algebra import EVEN, ODD, FieldElem, fe_membership, format_field, make_params
 from goldenbeta.cli import main
+from goldenbeta.fseq import FDecomposition, decompose_F
 from goldenbeta.rewrite import apply_rule
 from goldenbeta.words import DigitWord, parse_word
 
@@ -159,6 +161,55 @@ def test_even_parity_check_names_k(monkeypatch):
     _plant_classify(monkeypatch, lambda x, c: expand.Classification(
         expand.CONTINUUM, (3, 3)) if x == third else c)
     assert verify.check_even_parity(None) == (False, "1/3 misclassified as Continuum, k=2")
+
+
+_classify = expand.classify
+
+# (check, module, name, planted value of module.name, the check's detail);
+# each planted fault is one the check exists to catch
+_PLANTED_FAULTS = [
+    (verify.check_fn_identity, verify, "fn_identity_check", lambda params, n: n != 3,
+     "identity fails at k=1, n=3"),
+    (verify.check_decompose, verify, "decompose_F", lambda k, n: FDecomposition(n, (n + 1,)),
+     "reconstruction fails at k=1, n=0"),
+    (verify.check_decompose, verify, "decompose_F",
+     lambda k, n: FDecomposition(n, (n,)) if n == 3 else decompose_F(k, n),
+     "coefficient out of range at k=1, n=3"),
+    (verify.check_decompose, verify, "decompose_F",
+     lambda k, n: FDecomposition(n, decompose_F(k, n).coeffs + (0,)),
+     "length bound fails at k=1, n=0, l=1"),
+    (verify.check_growth_ratio, verify, "f_seq", lambda k, n: [1] * n, "F_3 != (k+2)F_2 at k=1"),
+    (verify.check_growth_ratio, verify, "f_seq", lambda k, n: [(k + 2) ** i for i in range(n)],
+     "ratio bound fails at k=1, n=3"),
+    (verify.check_one_family, expand, "expansions_of_one", lambda depth, params: [],
+     "family/tree mismatch at k=1, depth=8"),
+    (verify.check_one_family, verify, "word_value", lambda w, params: params.zero,
+     "family member not equal to 1 at k=1"),
+    (verify.check_growth_dichotomy, expand, "enumerate_prefixes",
+     lambda x, depth, params: SimpleNamespace(count_at=lambda d: 2 ** d),
+     "count at depth 4 exceeds 2d+2 for x=1"),
+    (verify.check_growth_dichotomy, expand, "enumerate_prefixes",
+     lambda x, depth, params: SimpleNamespace(count_at=lambda d: d),
+     "count at depth 20 for 1/3 is 20"),
+    (verify.check_cross_route, expand, "construct_route", lambda x, params: None,
+     "constructive route succeeded on only 0 inputs"),
+    (verify.check_even_parity, expand, "classify",
+     lambda x, params: expand.Classification(expand.COUNTABLY_INFINITE, DigitWord(0, ()))
+     if params.k == 1 and x.r == 3 else _classify(x, params),
+     "1/3 misclassified as CountablyInfinite"),
+]
+
+
+@pytest.mark.parametrize("check, module, name, planted, detail", _PLANTED_FAULTS,
+                         ids=[fault[-1] for fault in _PLANTED_FAULTS])
+def test_checks_report_planted_faults(monkeypatch, check, module, name, planted, detail):
+    monkeypatch.setattr(module, name, planted)
+    assert check(random.Random(0)) == (False, detail)
+
+
+def test_verify_refuses_an_unknown_level():
+    with pytest.raises(ValueError, match=r"level must be one of \('fast', 'full'\), got 'slow'"):
+        verify.verify_suite("slow")
 
 
 # -- apply_rule checks every rule's value and shape -----------------------

@@ -171,6 +171,11 @@ def test_canonical_period():
     assert pre_period(w) == pre_period(DigitWord(0, (2,)))
 
 
+def test_empty_period_refused():
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        EvPeriodicWord(0, (1,), ())
+
+
 def test_digit_at_and_prefix():
     w = EvPeriodicWord(0, (1,), (3, 0))
     assert [w.digit_at(i) for i in range(1, 6)] == [1, 3, 0, 3, 0]
