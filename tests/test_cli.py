@@ -5,7 +5,7 @@ import io
 import json
 import sys
 import time
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from functools import cmp_to_key
 from math import gcd
@@ -542,22 +542,36 @@ def run_pin(argv):
     return code, out.getvalue().encode(), err.getvalue()
 
 
-def test_pins():
-    # every pinned output and error line of tests/pins.py, in process; main
-    # reads every argv but a usage error's off _COMMANDS, so those pins run
-    # with argparse unable to parse, and a usage error runs with it working
-    def refuse(*args, **kwargs):
-        raise RuntimeError(f"argparse parsed {args[1:]!r}")
+@pytest.fixture(scope="module")
+def pin_pass():
+    """One in-process pass over tests/pins.py: each pin's failure (None on a
+    match), and the labels of the pins whose argv reached argparse."""
+    real = argparse.ArgumentParser.parse_known_args
+    current, parsed = [None], set()
 
-    failures = []
-    for pin in PINS:
-        usage_error = pin[0][:1] == (2,)
-        with nullcontext() if usage_error else mock.patch.object(
-                argparse.ArgumentParser, "parse_known_args", refuse):
-            why = failure(pin, *run_pin(pin[1]))
-        if why:
-            failures.append(f"{label(pin[1])}: {why}")
-    assert failures == []
+    def recording(parser, *args, **kwargs):
+        parsed.add(current[0])
+        return real(parser, *args, **kwargs)
+
+    whys = {}
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", recording):
+        for pin in PINS:
+            current[0] = label(pin[1])
+            whys[current[0]] = failure(pin, *run_pin(pin[1]))
+    return whys, parsed
+
+
+def test_pins(pin_pass):
+    # every pinned output and error line of tests/pins.py, in process
+    whys, _ = pin_pass
+    assert {argv: why for argv, why in whys.items() if why} == {}
+
+
+def test_exit_0_pins_parse_without_argparse(pin_pass):
+    # main reads every argv but a usage error's off _COMMANDS: in the pass
+    # above, only the usage-error pins reached argparse, and each of those did
+    _, parsed = pin_pass
+    assert parsed == {label(pin[1]) for pin in PINS if pin[0][:1] == (2,)}
 
 
 def test_pins_in_fresh_optimized_processes(capsys):
