@@ -130,7 +130,7 @@ class PrefixTree(_Record):
 
     def count_at(self, depth: int) -> int:
         if not 0 <= depth <= self.depth:
-            raise IndexError(f"depth {depth} outside 0..{self.depth}")
+            raise DomainError(f"depth {depth} outside 0..{self.depth}")
         return self.counts[depth]
 
 

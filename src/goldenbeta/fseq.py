@@ -8,13 +8,13 @@ The sequence ties into the base through F_n*beta = F_{n+1} - (-(k+1)/beta)^n.
 
 from __future__ import annotations
 
-from .algebra import ODD, FieldElem, ParameterError, Params, _Record
+from .algebra import ODD, DomainError, FieldElem, ParameterError, Params, _Record
 
 
 def f_seq(k: int, up_to: int) -> list[int]:
     """[F_1, ..., F_up_to] for the given k."""
     if up_to < 1:
-        raise ValueError("up_to must be >= 1")
+        raise DomainError("up_to must be >= 1")
     seq = [1, k + 1]
     while len(seq) < up_to:
         seq.append((k + 1) * (seq[-1] + seq[-2]))
@@ -70,7 +70,7 @@ def fn_identity_check(params: Params, n: int) -> bool:
     if params.parity != ODD:
         raise ParameterError("the F_n/beta identity holds in odd-parity systems")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     seq = f_seq(params.k, n + 1)
     base = params.from_int(params.k + 1) - params.beta  # -(k+1)/beta
     power: FieldElem = params.one

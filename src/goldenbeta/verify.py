@@ -25,6 +25,7 @@ from math import gcd, isqrt
 from .algebra import (
     EVEN,
     ODD,
+    DomainError,
     FieldElem,
     Params,
     census_elements,
@@ -257,7 +258,7 @@ def verify_suite(level: str = "fast", seed: int = 0) -> dict:
     """Run all checks for ``level``; returns a machine-readable report.  A
     check that raises fails, with the exception as its detail."""
     if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+        raise DomainError(f"level must be one of {LEVELS}, got {level!r}")
     checks = _FAST if level == "fast" else _FAST + _FULL_EXTRA
     results = []
     for name, fn in checks:

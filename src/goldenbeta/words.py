@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import FieldElem, ParseError, Params, _Record, times_beta
+from .algebra import DomainError, FieldElem, ParseError, Params, _Record, times_beta
 
 IND_INF = None  # ind's answer when the alternation never breaks
 
@@ -54,7 +54,7 @@ class EvPeriodicWord(_Record):
         pre = tuple(preperiod)
         per = tuple(period)
         if not per:
-            raise ValueError("period must be nonempty")
+            raise DomainError("period must be nonempty")
         per = _primitive_period(per)
         # shortest preperiod: absorb matching tail digits into the cycle
         while pre and pre[-1] == per[-1]:

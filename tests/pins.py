@@ -1,5 +1,5 @@
-"""Pinned CLI outputs and error lines: the one place a byte-identical
-claim about the CLI is written.
+"""Pinned outputs: the one place a byte-identical claim about the CLI or
+the benchmark is written.
 
 Each pin is ``(want, argv)``.  A str ``want`` is the sha256 of what the
 call writes to stdout, and the call must exit 0.  A ``(code, line)`` want
@@ -16,6 +16,9 @@ the pins also hold with ``assert`` statements stripped.  Run as a script,
 
 does the same fresh-interpreter pass on this checkout, prints one line per
 pin and exits 1 when any pin fails.
+
+``BENCH_DIGESTS`` holds the digest ``bench/run.py --seed 5`` reports for
+each workload; ``tests/test_bench.py`` computes them in process.
 """
 
 from __future__ import annotations
@@ -108,6 +111,13 @@ PINS = [
     # a period of zeros spells a finite word, which mulbeta takes
     ("60e04e0698fb459fb659814bd8bfadde04228e65fdf1138a3ecc5f1740e6062d",
      ["rewrite", "mulbeta", "0.1,(0)*"]),
+    # the constructive route gives up and falls back to the search: at k = 1
+    # where its assembly needs a negative term, and always in even parity;
+    # each writes the bytes of the same call with --route search
+    ("3d8dba0b9bd85924c46a78b886e06ba3e2c79d2adb64217e96344763e9534ae8",
+     ["synth", "(3-1*b)/2", "--route", "construct"]),
+    ("b76b2b19c92058be6aba80a7178a134dbc40f6dbd8e3ec90c84f0d43d1310d3f",
+     ["synth", "1/3", "--route", "construct", "--k", "2", "--parity", "even"]),
     # census at its default --depths
     ("73ae5d0f42e6ec0bfb50586f835ca206225293c7b821053ef1fefebb4c0c1c34",
      ["census", "--den-bound", "2", "--num-bound", "2"]),
@@ -135,6 +145,16 @@ PINS = [
     ((2, "goldenbeta: error: unrecognized arguments: --k 2"), ["verify", "--k", "2"]),
     ((2, "goldenbeta: error: unrecognized arguments: --bogus"), ["census", "--bogus"]),
 ]
+
+# the sha256 of the sorted canonical records of each workload's first pass
+# at --seed 5, as bench/run.py reports it
+BENCH_SEED = 5
+BENCH_DIGESTS = {
+    "dichotomy": "cd6c76589b07ae3f09677fe778ed2b978885bac73cba0aad35b84586171f7f4d",
+    "census": "732d99490c01e5ecca5cc6f2aa178fdb069891fe391fd4564ef92ed2ea126e11",
+    "enumerate": "319bf605031b95153528839c9b215f1990683c70b3ce1bc06b7ff36bcf192269",
+    "rewrite": "c6e4c259edad5af2eff2f8ea3c346b4fd2964d9ef459ee2a311251513d448e6d",
+}
 
 
 def failure(pin, code: int, out: bytes, err: str) -> str | None:

@@ -92,9 +92,9 @@ def test_enumerate_rejects_outside():
         enumerate_prefixes(P1.one, -1, P1)
     one = enumerate_prefixes(P1.one, 3, P1)
     for d in (-1, 4):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             one.count_at(d)
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             one.prefixes_at(d)
     # counts past the listing budget stay available; listing them is refused
     third = enumerate_prefixes(parse_field("1/3", P1), 60, P1)

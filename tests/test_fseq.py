@@ -3,7 +3,7 @@
 import pytest
 
 from goldenbeta import fseq
-from goldenbeta.algebra import EVEN, ODD, ParameterError, make_params
+from goldenbeta.algebra import EVEN, ODD, DomainError, ParameterError, make_params
 from goldenbeta.fseq import FDecomposition, decompose_F, f_seq, fn_identity_check
 
 
@@ -14,7 +14,7 @@ def test_f_seq_examples():
 
 
 def test_f_seq_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         f_seq(1, 0)
 
 
@@ -103,5 +103,5 @@ def test_fn_identity():
 def test_fn_identity_rejects_even():
     with pytest.raises(ParameterError):
         fn_identity_check(make_params(1, EVEN), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fn_identity_check(make_params(1, ODD), 0)

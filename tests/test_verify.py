@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from goldenbeta import expand, rewrite, verify
-from goldenbeta.algebra import EVEN, ODD, FieldElem, fe_membership, format_field, make_params
+from goldenbeta.algebra import (EVEN, ODD, DomainError, FieldElem, fe_membership, format_field,
+                                make_params)
 from goldenbeta.cli import main
 from goldenbeta.fseq import FDecomposition, decompose_F
 from goldenbeta.rewrite import apply_rule
@@ -208,7 +209,7 @@ def test_checks_report_planted_faults(monkeypatch, check, module, name, planted,
 
 
 def test_verify_refuses_an_unknown_level():
-    with pytest.raises(ValueError, match=r"level must be one of \('fast', 'full'\), got 'slow'"):
+    with pytest.raises(DomainError, match=r"level must be one of \('fast', 'full'\), got 'slow'"):
         verify.verify_suite("slow")
 
 

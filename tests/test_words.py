@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldenbeta.algebra import EVEN, FieldElem, ODD, make_params
+from goldenbeta.algebra import EVEN, DomainError, FieldElem, ODD, make_params
 from goldenbeta.words import (
     IND_INF,
     DigitWord,
@@ -172,7 +172,7 @@ def test_canonical_period():
 
 
 def test_empty_period_refused():
-    with pytest.raises(ValueError, match="period must be nonempty"):
+    with pytest.raises(DomainError, match="period must be nonempty"):
         EvPeriodicWord(0, (1,), ())
 
 
