@@ -3,10 +3,10 @@ census, verify.
 
 All numbers are field literals like ``3/4`` or ``(1+1*b)/6``; words use the
 grammar ``INT.d1,d2,...`` with an optional ``(p1,p2)*`` periodic tail.
-Output is JSON (CSV for census on request), written to stdout or --out,
-and is byte-deterministic for fixed flags and seed: the JSON is exactly
-what the standard ``json`` module writes with ``indent=2``, followed by a
-newline.  argparse writes every help, usage and usage-error text.
+Output is JSON (CSV for census on request), written by ``_emit`` alone
+to stdout or --out, and is byte-deterministic for fixed flags and seed:
+the JSON is exactly what ``json`` writes with ``indent=2``, and a newline.
+argparse writes every help, usage and usage-error text.
 
 Start-up imports only what every command uses: ``argparse`` is imported
 by the full parser, ``verify`` and ``csv`` by the commands that use them,
@@ -54,52 +54,47 @@ def _payload(params: Params, input_repr, result, certificate) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: list[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 _encode = json.JSONEncoder().encode  # C-accelerated when it has no indent
 _encode_str = json.encoder.encode_basestring_ascii  # what json writes for a str
 
 
-class _Listing(list):
-    """A prefix listing as ``_walk`` lists it: rows of one length, each a
-    tuple of digits 0..m, where ``m`` is the system's largest digit."""
-
-    __slots__ = ("m",)
-
-
-# Rows of a listing that ``_json_listing`` translates at once: it holds a few
-# copies of one block's text beside the output.
+# Rows of a listing that ``_json_listing`` writes as one piece: it holds a
+# few copies of one block's text beside the pieces already made.
 LISTING_BLOCK = 4096
 # Byte d of a row as the numeral d for d <= 9, and every other byte, the row
 # mark 0xff among them, as "|".
 _DIGITS = b"0123456789" + b"|" * 246
 
 
-def _json_listing(rows: _Listing, ind: str) -> str:
-    """What ``json`` writes for ``rows``, a listing of nonempty rows.  With
-    m <= 9 each block of ``LISTING_BLOCK`` rows is joined as bytes around a
-    row mark, translated to numerals and "|" (``0121|2101``), spread by the
-    digit separator and cut into rows at each mark.  A block holding a row
-    longer or shorter than the first, or a digit outside 0..9, raises
+def _json_listing(rows: list[tuple[int, ...]], m: int, ind: str) -> list[str]:
+    """What ``json`` writes for ``rows``, nonempty rows of digits 0..m, as
+    pieces to write in order: the blocks of ``LISTING_BLOCK`` rows with the
+    separator between them.  With m <= 9 a block is joined as bytes around
+    a row mark, translated to numerals and "|" (``0121|2101``), spread by
+    the digit separator and cut into rows at each mark.  A block holding a
+    row longer or shorter than the first, or a digit outside 0..9, raises
     ``AssertionError``: each block's text must have its length and a mark
     at every row end and nowhere else.  With m >= 10 one ``%d`` row
-    template is mapped over the rows."""
+    template is mapped over the block."""
     inner = ind + "  "
     row = inner + "  "
     d = len(rows[0])
-    if rows.m > 9:
-        tmpl = "[" + row + ("," + row).join(["%d"] * d) + inner + "]"
-        return "[" + inner + ("," + inner).join(map(tmpl.__mod__, rows)) + ind + "]"
     sep, cut = "," + row, inner + "]," + inner + "[" + row
-    blocks = []
+    tmpl = sep.join(["%d"] * d)
+    blocks = ["[" + inner + "[" + row]
     for i in range(0, len(rows), LISTING_BLOCK):
         block = rows[i:i + LISTING_BLOCK]
+        if m > 9:
+            blocks += (cut.join(map(tmpl.__mod__, block)), cut)
+            continue
         try:
             raw = b"\xff".join(map(bytes, block))
         except ValueError:  # bytes() refuses a digit outside 0..255
@@ -110,10 +105,9 @@ def _json_listing(rows: _Listing, ind: str) -> str:
                 text.count("|") == text[d::d + 1].count("|") == marks):
             raise AssertionError(f"prefix listing rows {i}..{i + marks} are not "
                                  f"rows of {d} digits 0..9")
-        blocks.append(sep.join(text).replace(sep + "|" + sep, cut))
-    blocks[0] = "[" + inner + "[" + row + blocks[0]
-    blocks[-1] += inner + "]" + ind + "]"
-    return cut.join(blocks)
+        blocks += (sep.join(text).replace(sep + "|" + sep, cut), cut)
+    blocks[-1] = inner + "]" + ind + "]"
+    return blocks
 
 
 def _json(obj, ind: str = "\n") -> str:
@@ -122,10 +116,9 @@ def _json(obj, ind: str = "\n") -> str:
     newline and indent of the line that holds ``obj``.  json's own encoder
     drops to pure Python whenever an indent is set, so here ``None`` and a
     leaf of type exactly ``str`` or ``int`` are written as json writes them,
-    as ``null``, by ``encode_basestring_ascii`` or by ``int.__repr__``, and
-    a ``_Listing`` of nonempty rows by ``_json_listing``.  Types are tested
-    exactly: a bool, IntEnum member, float or str subclass takes json's
-    encoder, and dicts and every other list or tuple take the general,
+    as ``null``, by ``encode_basestring_ascii`` or by ``int.__repr__``.
+    Types are tested exactly: a bool, IntEnum member, float or str subclass
+    takes json's encoder, and dicts, lists and tuples take the general,
     recursive path.  A dict key is written as a str; any other key raises
     ``TypeError``."""
     cls = type(obj)
@@ -135,8 +128,6 @@ def _json(obj, ind: str = "\n") -> str:
         return int.__repr__(obj)
     if obj is None:
         return "null"
-    if cls is _Listing and obj and obj[0]:
-        return _json_listing(obj, ind)
     inner = ind + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -149,10 +140,6 @@ def _json(obj, ind: str = "\n") -> str:
         items = (_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return _encode(obj)
-
-
-def _emit_json(obj, out_path: str | None) -> None:
-    _emit(_json(obj) + "\n", out_path)
 
 
 def _certificate_json(c: expand.Classification):
@@ -336,12 +323,12 @@ def _build_parser():
 
 
 def _run(args) -> int:
-    command, cert = args.command, None
+    command, cert, listing = args.command, None, []
     if command == "verify":
         from .verify import verify_suite  # only verify runs the self-checks
 
         report = verify_suite(args.level, args.seed)
-        _emit_json(report, args.out)
+        _emit([_json(report), "\n"], args.out)
         return 0 if report["passed"] else 1
     params = make_params(args.k, args.parity)
     if command in ("classify", "enumerate", "synth"):
@@ -351,9 +338,11 @@ def _run(args) -> int:
         c = expand.classify(x, params)
         result, cert = c.verdict, _certificate_json(c)
     elif command == "enumerate":
-        prefixes = _Listing(expand.enumerate_prefixes(x, args.depth, params).prefixes_at())
-        prefixes.m = params.m
-        result = {"depth": args.depth, "count": len(prefixes), "prefixes": prefixes}
+        rows = expand.enumerate_prefixes(x, args.depth, params).prefixes_at()
+        result = {"depth": args.depth, "count": len(rows), "prefixes": rows}
+        if rows[0]:  # at depth 0 the one empty row takes _json's general path
+            # indented as the value of payload["result"]["prefixes"]
+            listing, result["prefixes"] = _json_listing(rows, params.m, "\n    "), []
     elif command == "ones":
         given = "1"
         result = [format_word(w) for w in expand.expansions_of_one(args.depth, params)]
@@ -368,11 +357,15 @@ def _run(args) -> int:
     else:  # census
         rows = census_sweep(params, args.den_bound, args.num_bound, args.depths)
         if args.format == "csv":
-            _emit(_census_csv(rows), args.out)
+            _emit([_census_csv(rows)], args.out)
             return 0
         given = {"den_bound": args.den_bound, "num_bound": args.num_bound, "depths": args.depths}
         result = rows
-    _emit_json(_payload(params, given, result, cert), args.out)
+    pieces = [_json(_payload(params, given, result, cert)), "\n"]
+    if listing:  # the listing's pieces stand where the payload has its one "[]"
+        head, _, tail = pieces[0].partition("[]")
+        pieces[:1] = [head, *listing, tail]
+    _emit(pieces, args.out)
     return 0
 
 

@@ -37,12 +37,12 @@ def _require_odd(params: Params) -> None:
 
 # -- big-digit separation ------------------------------------------------
 
-def _separate(d: list[int], params: Params, steps=None, limit=None) -> None:
+def _separate(d: list[int], params: Params, steps=None, limit=None, tag="carry-pair") -> None:
     """Make up to ``limit`` (None: every) leftmost big-big carries in place
-    on ``d``, where d[0] is the integer part and d[i] the digit of beta^-i.
-    A carry at (l, l+1) turns both its digits small, so the pairs at l-1, l
-    and l+1 are not big-big, and only the one at l-2, raised by the carry,
-    can be: the scan resumes there."""
+    on ``d`` (d[0] the integer part, d[i] the digit of beta^-i), each put
+    in ``steps``, when given, as (``tag``, l).  A carry at (l, l+1) makes
+    both its digits small, so only the pair at l-2, raised by the carry,
+    can now be big-big: the scan resumes there."""
     k1, m = params.k + 1, params.m
     l, done = 1, 0
     while l < len(d) - 1 and done != limit:
@@ -51,19 +51,20 @@ def _separate(d: list[int], params: Params, steps=None, limit=None) -> None:
             d[l] -= k1
             d[l + 1] -= k1
             if steps is not None:
-                steps.append(("carry-pair", l))
+                steps.append((tag, l))
             done += 1
             l = max(l - 2, 1)
         else:
             l += 1
 
 
-def cr_step(w: DigitWord, params: Params) -> DigitWord:
+def cr_step(w: DigitWord, params: Params, _steps=None) -> DigitWord:
     """One leftmost carry: the first big-big digit pair (positions l, l+1)
-    becomes (+1 into position l-1, both big digits dropped by k+1)."""
+    becomes (+1 into position l-1, both big digits dropped by k+1), with
+    the step ("cr", l); a word with no such pair takes no step."""
     _require_odd(params)
     d = [w.int_part, *w.digits]
-    _separate(d, params, limit=1)
+    _separate(d, params, _steps, limit=1, tag="cr")
     return DigitWord(d[0], tuple(d[1:]))
 
 
@@ -311,7 +312,7 @@ def apply_rule(rule: str, params: Params, *inputs: Word) -> RewriteTrace:
         raise DomainError(f"{rule} takes words with digits in 0..{params.m}")
     fn, value_law, shape_law = _RULES[rule]
     steps: list[tuple[str, int]] = []
-    if rule == "bsep":
+    if rule in ("cr", "bsep"):
         out = fn(*inputs, params, steps)
     else:
         out = fn(*inputs, params)

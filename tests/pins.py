@@ -95,6 +95,14 @@ PINS = [
       "--den-bound", "3"]),
     ("3515b548744d0d9f2457832b4a2bb831b9e4addd4d593ac7ce5fadba51ab54ed",
      ["rewrite", "cr", "0.2,3,3,1"]),
+    # cr's step names the pair it carried, as bsep's first carry-pair does,
+    # and a word with no big-big pair takes no step
+    ("e05285dae7ccc52457e76673c3998c5bf738aaf4ca1fb21a7b4f25593595e260",
+     ["rewrite", "cr", "0.1,2,3"]),
+    ("03aa0c229aaf524adcedcc6f16f745923d9a398f68ac497ca54b40355875aef4",
+     ["rewrite", "cr", "0.3,1,2,3"]),
+    ("932e101dd15c64092eee65b10bec4bb4d3578aa7531190b31d7bb7cb1bf369e5",
+     ["rewrite", "cr", "0.1,1"]),
     ("7f9568e0bdce8ce1d4f8e5ffe483a35b9e02260ba7340c8935771d514da155bb",
      ["rewrite", "div", "0.2,1"]),
     ("d7b8ad41bc810d29625a6abb56bdcf6f8cda0dac65d13d891f6fab5c3cf311d7",

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import goldenbeta
 from goldenbeta.algebra import ODD, EVEN, DomainError, FieldElem, make_params, parse_field
 from goldenbeta.words import parse_word, word_value
-from goldenbeta.cli import _json, census_elements, main
+from goldenbeta.cli import _json, _json_listing, census_elements, main
 import pins
 from pins import PINS, failure, label, run_python
 
@@ -730,10 +730,10 @@ def test_json_writer_matches_json_dumps(obj):
 
 
 # lists of int rows of one length, as lists or tuples, with ints past 64
-# bits and negative ones: the shape of a prefix listing, which the writer
-# takes by its general path unless ``enumerate`` marks it as a ``_Listing``;
-# a spoiled listing has one row holding a bool, an IntEnum member or a
-# float, or one digit more or fewer than the others
+# bits and negative ones: the shape of a prefix listing, which ``_json``
+# writes by its general path (``enumerate`` hands its own listings to
+# ``_json_listing``); a spoiled listing has one row holding a bool, an
+# IntEnum member or a float, or one digit more or fewer than the others
 listing_ints = st.one_of(st.integers(), st.integers(-2 ** 100, 2 ** 100))
 
 
@@ -774,7 +774,9 @@ def test_json_writer_listing_edge_cases():
 def test_listing_writer_matches_json_dumps_on_walks(k, parity, monkeypatch):
     # real walk listings at the enumerate nesting, digits 0..m for m = 2..13,
     # so both the byte path (m <= 9) and the row template (m >= 10) run, with
-    # blocks of 1 to 3 rows so that block ends fall inside short listings
+    # blocks of 1 to 3 rows so that block ends fall inside short listings;
+    # the pieces stand where the payload has its "[]", as enumerate puts
+    # them, and the one empty row of depth 0 takes _json's general path
     params = make_params(k, parity)
     for text in ("1/3", "1/2", "2/5"):
         tree = goldenbeta.expand.enumerate_prefixes(parse_field(text, params), 14, params)
@@ -782,10 +784,69 @@ def test_listing_writer_matches_json_dumps_on_walks(k, parity, monkeypatch):
             if tree.count_at(depth) > 300:
                 break
             monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 1 + depth % 3)
-            rows = goldenbeta.cli._Listing(tree.prefixes_at(depth))
-            rows.m = params.m
+            rows = tree.prefixes_at(depth)
             obj = {"result": {"depth": depth, "prefixes": rows}}
-            assert _json(obj) == json.dumps(obj, indent=2)
+            if rows[0]:
+                head, _, tail = _json({"result": {"depth": depth, "prefixes": []}}).partition("[]")
+                got = head + "".join(_json_listing(rows, params.m, "\n    ")) + tail
+            else:
+                got = _json(obj)
+            assert got == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("k, depth", [(1, 12), (6, 6)])  # the byte path and m = 13
+def test_listing_reaches_emit_in_blocks(k, depth, monkeypatch, capsys):
+    # enumerate hands _emit its listing as blocks, never joined: no piece is
+    # longer than one block's text with its brackets, and the pieces written
+    # in order are json's text
+    monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 3)
+    calls, real = [], goldenbeta.cli._emit
+    monkeypatch.setattr(goldenbeta.cli, "_emit", lambda p, out: (calls.append(p), real(p, out)))
+    params = make_params(k, ODD)
+    rows = goldenbeta.expand.enumerate_prefixes(parse_field("1/3", params), depth,
+                                                params).prefixes_at()
+    code, out = run(capsys, "enumerate", "1/3", "--depth", str(depth), "--k", str(k))
+    [pieces] = calls
+    assert type(pieces) is list and all(type(piece) is str for piece in pieces)
+    obj = {"params": {"k": k, "parity": ODD}, "input": "1/3",
+           "result": {"depth": depth, "count": len(rows), "prefixes": rows}, "certificate": None}
+    assert code == 0
+    assert "".join(pieces) == out == json.dumps(obj, indent=2) + "\n"
+    block = json.dumps(rows[:3], indent=2).replace("\n", "\n    ")
+    assert len(rows) > 9 and len(pieces) > len(rows) // 3
+    assert max(map(len, pieces)) <= len(block)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "1/3", "--depth", "12"], ["enumerate", "1/3", "--depth", "0"],
+    ["enumerate", "1/3", "--depth", "6", "--k", "5"], ["rewrite", "cr", "0.1,2,3"],
+    ["census", "--format", "csv"], ["census"],
+], ids=" ".join)
+def test_out_gets_the_bytes_of_stdout(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 2)
+    path = tmp_path / "out"
+    code, out = run(capsys, *argv)
+    assert main([*argv, "--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_bad_row_in_last_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    # every block is checked before the first byte goes out, so a row the
+    # byte path cannot write, even in the last block, leaves stdout empty
+    # and the --out file uncreated
+    monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 3)
+    rows = goldenbeta.expand.enumerate_prefixes(parse_field("1/3", P1), 12, P1).prefixes_at()
+    rows[-1] = rows[-1][:-1] + (12,)
+    monkeypatch.setattr(goldenbeta.expand.PrefixTree, "prefixes_at", lambda self: rows)
+    path = tmp_path / "out.json"
+    first = (len(rows) - 1) // 3 * 3
+    for out in ([], ["--out", str(path)]):
+        assert main(["enumerate", "1/3", "--depth", "12", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err == (f"error: prefix listing rows {first}..{len(rows) - 1} "
+                                "are not rows of 12 digits 0..9\n")
 
 
 PLANTED_ROWS = [

@@ -771,6 +771,23 @@ def test_apply_rule_trace():
     assert (trace.value - word_value(trace.output, P1)).is_zero()
 
 
+@st.composite
+def valid_words(draw):
+    """A system k = 1..4 and a word with integer part 0 and up to 12 digits
+    in 0..m."""
+    params = make_params(draw(st.integers(1, 4)), ODD)
+    return params, DigitWord(0, tuple(draw(st.lists(st.integers(0, params.m), max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_words())
+def test_cr_trace_names_bsep_first_carry(case):
+    # cr makes bsep's first carry, so it records that pair, or no step at all
+    params, w = case
+    cr, bsep = apply_rule("cr", params, w), apply_rule("bsep", params, w)
+    assert cr.steps == tuple(("cr", l) for _, l in bsep.steps[:1])
+
+
 def test_apply_rule_add():
     trace = apply_rule("add", P1, w1("0.2"), w1("0.2"))
     assert trace.output == w1("1.1,0,2")

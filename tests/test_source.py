@@ -63,6 +63,50 @@ def test_library_refusals_are_domain_errors(path):
     assert sites <= {("cli.py", "depth_list"), ("cli.py", "_value")}
 
 
+def is_stdio(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def io_sites(tree: ast.AST, function: str | None = None):
+    """(innermost enclosing function, what) for each call of ``open``, each
+    use of ``sys.stdout`` and each ``print`` not to ``file=sys.stderr``
+    under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "open":
+                yield function, "open"
+            elif node.func.id == "print" and not any(
+                    kw.arg == "file" and is_stdio(kw.value, "stderr") for kw in node.keywords):
+                yield function, "print"
+        elif is_stdio(node, "stdout"):
+            yield function, "sys.stdout"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from io_sites(node, inner)
+
+
+def test_only_emit_writes_output():
+    # cli.main reports every OSError as a failed write, which holds only
+    # while _emit is the one function that opens a file or writes stdout
+    sites = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        sites |= {(path.name, fn, what) for fn, what in io_sites(tree)}
+    assert sites == {("cli.py", "_emit", "open"), ("cli.py", "_emit", "sys.stdout")}
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def f(p):\n    return open(p).read()", {("f", "open")}),
+    ("import sys\ndef f():\n    sys.stdout.write('x')", {("f", "sys.stdout")}),
+    ("def f():\n    print('x')", {("f", "print")}),
+    ("import sys\ndef f():\n    print('x', file=sys.stdout)", {("f", "print"), ("f", "sys.stdout")}),
+    ("import sys\nout = sys.stdout", {(None, "sys.stdout")}),
+    ("import sys\ndef f():\n    print('x', file=sys.stderr)", set()),
+])
+def test_io_sites_finds_planted_writes(source, sites):
+    assert set(io_sites(ast.parse(source))) == sites
+
+
 def test_workflows_write_no_digest():
     # a digest is written once, in tests/pins.py, which tier-1 checks
     hex64 = re.compile(r"\b[0-9a-fA-F]{64}\b")
