@@ -15,9 +15,9 @@ by the full parser, ``verify`` and ``csv`` by the commands that use them,
 ``logging``).
 
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
-or a library self-check such as ``apply_rule``'s, reported in one
-``error:`` line), 2 usage error (including an --out path that cannot be
-written), 3 domain error: a ``DomainError``, such as a point outside the
+or a self-check such as ``apply_rule``'s or ``_json_listing``'s, reported
+in one ``error:`` line), 2 usage error (including an --out path that
+cannot be written), 3 domain error: a ``DomainError``, such as a point outside the
 expansion interval, a malformed literal or a bad k, in one ``error:`` line.
 """
 
@@ -45,15 +45,6 @@ from .words import format_word, parse_word
 from . import LEVELS, expand, rewrite
 
 
-def _payload(params: Params, input_repr, result, certificate) -> dict:
-    return {
-        "params": {"k": params.k, "parity": params.parity},
-        "input": input_repr,
-        "result": result,
-        "certificate": certificate,
-    }
-
-
 def _emit(pieces: list[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -74,39 +65,42 @@ LISTING_BLOCK = 4096
 _DIGITS = b"0123456789" + b"|" * 246
 
 
-def _json_listing(rows: list[tuple[int, ...]], m: int, ind: str) -> list[str]:
-    """What ``json`` writes for ``rows``, nonempty rows of digits 0..m, as
-    pieces to write in order: the blocks of ``LISTING_BLOCK`` rows with the
-    separator between them.  With m <= 9 a block is joined as bytes around
-    a row mark, translated to numerals and "|" (``0121|2101``), spread by
-    the digit separator and cut into rows at each mark.  A block holding a
-    row longer or shorter than the first, or a digit outside 0..9, raises
-    ``AssertionError``: each block's text must have its length and a mark
-    at every row end and nowhere else.  With m >= 10 one ``%d`` row
-    template is mapped over the block."""
-    inner = ind + "  "
-    row = inner + "  "
+def _json_listing(rows: list[tuple[int, ...]], m: int) -> list[str]:
+    """What ``json`` writes for ``rows``, rows of digits 0..m, as the value
+    of the enumerate payload's ``prefixes``: pieces to write in order, the
+    blocks of ``LISTING_BLOCK`` rows with the separator between them.  The
+    one empty row of depth 0 is written as ``[]``.  With m <= 9 a block is
+    joined as bytes around a row mark, translated to numerals and "|"
+    (``0121|2101``), spread by the digit separator and cut into rows at each
+    mark; its text must have its length and a mark at every row end and
+    nowhere else.  With m >= 10 one ``%d`` row template, which takes
+    exactly as many digits as the first row, is mapped over the block.  A
+    block that either path cannot write, a row longer or shorter than the
+    first or a digit outside 0..9 on the byte path, raises
+    ``AssertionError``."""
+    inner = "\n      "  # a row's line: the payload's "result" holds "prefixes"
     d = len(rows[0])
-    sep, cut = "," + row, inner + "]," + inner + "[" + row
+    row, end = (inner + "  ", inner) if d else ("", "")  # json writes [] for an empty row
+    sep, cut = "," + row, end + "]," + inner + "[" + row
     tmpl = sep.join(["%d"] * d)
     blocks = ["[" + inner + "[" + row]
     for i in range(0, len(rows), LISTING_BLOCK):
         block = rows[i:i + LISTING_BLOCK]
-        if m > 9:
-            blocks += (cut.join(map(tmpl.__mod__, block)), cut)
-            continue
-        try:
-            raw = b"\xff".join(map(bytes, block))
-        except ValueError:  # bytes() refuses a digit outside 0..255
-            raw = b""  # which the check refuses, as d >= 1
-        text = raw.translate(_DIGITS).decode("ascii")
         marks = len(block) - 1
-        if len(text) != marks + len(block) * d or not (
-                text.count("|") == text[d::d + 1].count("|") == marks):
-            raise AssertionError(f"prefix listing rows {i}..{i + marks} are not "
-                                 f"rows of {d} digits 0..9")
-        blocks += (sep.join(text).replace(sep + "|" + sep, cut), cut)
-    blocks[-1] = inner + "]" + ind + "]"
+        try:
+            if m > 9:
+                text = cut.join(map(tmpl.__mod__, block))
+            else:
+                text = b"\xff".join(map(bytes, block)).translate(_DIGITS).decode("ascii")
+                if len(text) != marks + len(block) * d or not (
+                        text.count("|") == text[d::d + 1].count("|") == marks):
+                    raise TypeError  # as the template does for a ragged row
+                text = sep.join(text).replace(sep + "|" + sep, cut)
+        except (TypeError, ValueError):  # a ragged row, or a digit bytes() refuses
+            raise AssertionError(f"prefix listing rows {i}..{i + marks} are not rows of "
+                                 f"{d} digits{' 0..9' if m <= 9 else ''}") from None
+        blocks += (text, cut)
+    blocks[-1] = end + "]\n    ]"
     return blocks
 
 
@@ -323,7 +317,7 @@ def _build_parser():
 
 
 def _run(args) -> int:
-    command, cert, listing = args.command, None, []
+    command, cert = args.command, None
     if command == "verify":
         from .verify import verify_suite  # only verify runs the self-checks
 
@@ -339,10 +333,7 @@ def _run(args) -> int:
         result, cert = c.verdict, _certificate_json(c)
     elif command == "enumerate":
         rows = expand.enumerate_prefixes(x, args.depth, params).prefixes_at()
-        result = {"depth": args.depth, "count": len(rows), "prefixes": rows}
-        if rows[0]:  # at depth 0 the one empty row takes _json's general path
-            # indented as the value of payload["result"]["prefixes"]
-            listing, result["prefixes"] = _json_listing(rows, params.m, "\n    "), []
+        result = {"depth": args.depth, "count": len(rows), "prefixes": []}
     elif command == "ones":
         given = "1"
         result = [format_word(w) for w in expand.expansions_of_one(args.depth, params)]
@@ -361,10 +352,12 @@ def _run(args) -> int:
             return 0
         given = {"den_bound": args.den_bound, "num_bound": args.num_bound, "depths": args.depths}
         result = rows
-    pieces = [_json(_payload(params, given, result, cert)), "\n"]
-    if listing:  # the listing's pieces stand where the payload has its one "[]"
+    pieces = [_json({"params": {"k": params.k, "parity": params.parity}, "input": given,
+                     "result": result, "certificate": cert}), "\n"]
+    # the listing stands where the payload has its one "[]": a literal holds no bracket
+    if command == "enumerate":
         head, _, tail = pieces[0].partition("[]")
-        pieces[:1] = [head, *listing, tail]
+        pieces[:1] = [head, *_json_listing(rows, params.m), tail]
     _emit(pieces, args.out)
     return 0
 

@@ -227,8 +227,7 @@ def mul_beta_word(w: DigitWord, params: Params) -> DigitWord:
         i += 2
     if (zero, unit) != (0, 1) or r[i] > k:
         raise DomainError("value too large: beta * x leaves the expansion interval")
-    if r[i] == k:  # the unit stops: 1.kc = 0.(2k+1)(c+k+1)
-        return DigitWord(0, (2 * k + 1,) * (i + 1) + (r[i + 1] + k + 1,) + tuple(rest[i + 2 :]))
+    # the borrow writes the unit's stop too: 1.kc = 0.(2k+1)(c+k+1)
     inner = borrow_T_minus(DigitWord(1, tuple(rest[i:])), params)
     return DigitWord(0, (2 * k + 1,) * i + inner.digits)
 

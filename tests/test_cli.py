@@ -776,7 +776,7 @@ def test_listing_writer_matches_json_dumps_on_walks(k, parity, monkeypatch):
     # so both the byte path (m <= 9) and the row template (m >= 10) run, with
     # blocks of 1 to 3 rows so that block ends fall inside short listings;
     # the pieces stand where the payload has its "[]", as enumerate puts
-    # them, and the one empty row of depth 0 takes _json's general path
+    # them, the one empty row of depth 0 among them
     params = make_params(k, parity)
     for text in ("1/3", "1/2", "2/5"):
         tree = goldenbeta.expand.enumerate_prefixes(parse_field(text, params), 14, params)
@@ -785,13 +785,9 @@ def test_listing_writer_matches_json_dumps_on_walks(k, parity, monkeypatch):
                 break
             monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 1 + depth % 3)
             rows = tree.prefixes_at(depth)
-            obj = {"result": {"depth": depth, "prefixes": rows}}
-            if rows[0]:
-                head, _, tail = _json({"result": {"depth": depth, "prefixes": []}}).partition("[]")
-                got = head + "".join(_json_listing(rows, params.m, "\n    ")) + tail
-            else:
-                got = _json(obj)
-            assert got == json.dumps(obj, indent=2)
+            head, _, tail = _json({"result": {"depth": depth, "prefixes": []}}).partition("[]")
+            got = head + "".join(_json_listing(rows, params.m)) + tail
+            assert got == json.dumps({"result": {"depth": depth, "prefixes": rows}}, indent=2)
 
 
 @pytest.mark.parametrize("k, depth", [(1, 12), (6, 6)])  # the byte path and m = 13
@@ -847,6 +843,24 @@ def test_bad_row_in_last_block_writes_nothing(tmp_path, monkeypatch, capsys):
         assert captured.out == "" and not path.exists()
         assert captured.err == (f"error: prefix listing rows {first}..{len(rows) - 1} "
                                 "are not rows of 12 digits 0..9\n")
+
+
+@pytest.mark.parametrize("rows", [[(0, 1), (2,)], [(0, 1, 2), (0, 1)], [(0, 1)] * 4 + [(0,)]],
+                         ids=repr)
+def test_template_refuses_ragged_rows(rows, tmp_path, monkeypatch, capsys):
+    # at m = 13 the %d row template writes the digits, and a row longer or
+    # shorter than the first fails it into the byte path's one error line,
+    # before the first byte goes out
+    monkeypatch.setattr(goldenbeta.cli, "LISTING_BLOCK", 2)
+    monkeypatch.setattr(goldenbeta.expand.PrefixTree, "prefixes_at", lambda self: rows)
+    path = tmp_path / "out.json"
+    first = (len(rows) - 1) // 2 * 2
+    for out in ([], ["--out", str(path)]):
+        assert main(["enumerate", "1/3", "--depth", "2", "--k", "6", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err == (f"error: prefix listing rows {first}..{len(rows) - 1} "
+                                f"are not rows of {len(rows[0])} digits\n")
 
 
 PLANTED_ROWS = [

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldenbeta import expand, rewrite
@@ -642,6 +642,10 @@ def mul_beta_inputs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(mul_beta_inputs())
+# words whose unit stops at a digit k, 1.kc = 0.(2k+1)(c+k+1), as the borrow writes it
+@example((P1, DigitWord(0, (1, 1))))
+@example((P1, DigitWord(0, (1, 1, 0))))
+@example((P1, DigitWord(0, (0, 3, 2))))
 def test_mul_beta_matches_reference(case):
     params, w = case
     assert mul_beta_word(w, params) == ref_mul_beta_word(w, params)
